@@ -151,7 +151,7 @@ def _threshold_grid(d: ServiceDistribution):
         pts |= {v for v, _ in atoms}
     else:
         pts |= {d.quantile(q) for q in np.arange(0.05, 0.96, 0.05)}
-    return sorted(pts)
+    return sorted(map(float, pts))
 
 
 def _local_candidates(sorted_grid, incumbent):
@@ -391,4 +391,4 @@ def _start_time_grid(d: ServiceDistribution):
         hi = d.quantile(0.995)
         lo = max(min(q for q in qs if q > 0), 1e-3)
         pts |= set(np.geomspace(lo, 4.0 * hi, 12))
-    return sorted(pts)
+    return sorted(map(float, pts))

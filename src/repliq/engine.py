@@ -6,13 +6,19 @@ order with departures before cancellation-window ends before arrivals, and
 assignable servers are offered to the policy in ascending index order once
 all events at a timestamp have been handled.  Identical (config, policy,
 seed) triples therefore reproduce identical trajectories bit for bit.
+
+Random numbers come from ``SeedSequence(seed).spawn(k + 1)``: child ``s``
+draws server ``s``'s service times and the last child draws the Poisson
+inter-arrival gaps, each in blocks of ``_BLOCK`` values.  A server's n-th
+service time is therefore the same under every policy run with that seed
+(common random numbers).
 """
 
 import hashlib
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +33,7 @@ _DEPART, _CANCEL_END, _ARRIVE = 0, 1, 2
 _WARMUP_FRACTION = 0.01
 _N_BATCHES = 20
 _UNSTABLE_QUEUE_FACTOR = 10.0
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -53,15 +60,21 @@ class SystemConfig:
 
 
 class _Job:
-    __slots__ = ("id", "arrival", "servers", "starts", "origin", "departed")
+    __slots__ = ("id", "arrival", "origin", "servers", "starts", "departed")
 
-    def __init__(self, job_id, arrival):
+    def __init__(self, job_id, arrival, origin):
         self.id = job_id
         self.arrival = arrival
-        self.servers = []
+        self.origin = origin
+        self.servers = ()
         self.starts = []
-        self.origin = -1
         self.departed = False
+
+
+def _blocks(draw):
+    """Endless stream of the values of draw(_BLOCK), one block at a time."""
+    while True:
+        yield from draw(_BLOCK).tolist()
 
 
 @dataclass(frozen=True)
@@ -102,28 +115,35 @@ class RunResult:
 
 
 class _Sim:
-    def __init__(self, config: SystemConfig, policy: Policy, rng, trace=None):
-        self.config = config
+    """One run.  With lam > 0 jobs arrive as a Poisson stream and wait in a
+    FIFO queue; otherwise the queue is never empty (saturated)."""
+
+    def __init__(self, config: SystemConfig, policy: Policy, seed, lam=0.0, trace=None):
         self.dists = config.servers
         self.k = config.k
         self.delta = config.delta
         self.policy = policy
-        self.rng = rng
         self.trace = trace
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(self.k + 1)]
+        self.draws = [_blocks(partial(d.sample_array, rng)) for d, rng in zip(self.dists, rngs)]
+        # Poisson mode: arrival time of every job so far, indexed by job id;
+        # jobs start in id order, so the queue is arrivals[started:].
+        self.arrivals = [] if lam > 0 else None
+        self.gaps = _blocks(partial(rngs[-1].exponential, 1.0 / lam)) if lam > 0 else None
+        self.started = 0
         self.status = [_IDLE] * self.k
-        self.server_job = [None] * self.k
         self.idle_since = [0.0] * self.k
+        self.cancel_until = [0.0] * self.k
         self.heap = []
         self.seq = 0
         self.jobs = {}
-        self.next_job_id = 0
-        self.queue = deque()
-        self.saturated = True
+        # (idle servers, job views, cancelling) shared by the offers of one
+        # scan; only launches change them within a scan
+        self.snapshot = None
         self.dep_times = []
         self.dep_cost = []
         self.dep_resp = []
         self.max_idle_gap = 0.0
-        self.arrivals_seen = 0
         self.q_mid = 0
         self.q_end = 0
         self.served_at_horizon = 0
@@ -140,55 +160,39 @@ class _Sim:
 
     # -- decisions -------------------------------------------------------------
 
-    def _observation(self, server, now):
-        views = []
-        for job_id in sorted(self.jobs):
-            job = self.jobs[job_id]
-            elapsed = tuple(now - st for st in job.starts)
-            views.append(
-                JobView(
-                    job_id=job_id,
-                    origin=job.origin,
-                    servers=tuple(job.servers),
-                    elapsed=elapsed,
-                    elapsed_original=elapsed[0],
-                    history=tuple(job.servers),
+    def _observation(self, server, now, can_new):
+        if self.snapshot is None:
+            views = []
+            for job in self.jobs.values():
+                elapsed = tuple([now - st for st in job.starts])
+                views.append(JobView(job.id, job.origin, job.servers, elapsed, elapsed[0]))
+            status = self.status
+            idle = tuple([i for i in range(self.k) if status[i] == _IDLE])
+            cancelling = ()
+            if self.delta > 0:
+                cancelling = tuple(
+                    [(i, self.cancel_until[i] - now) for i in range(self.k) if status[i] == _CANCEL]
                 )
-            )
-        idle = tuple(i for i in range(self.k) if self.status[i] == _IDLE)
-        cancelling = ()
-        if self.delta > 0:
-            cancelling = tuple(
-                (i, self._cancel_until[i] - now)
-                for i in range(self.k)
-                if self.status[i] == _CANCEL
-            )
-        return Observation(
-            server=server,
-            idle_servers=idle,
-            jobs=tuple(views),
-            can_new=self.saturated or bool(self.queue),
-            dists=self.dists,
-            delta=self.delta,
-            cancelling=cancelling,
-        )
+            self.snapshot = (idle, tuple(views), cancelling)
+        idle, views, cancelling = self.snapshot
+        return Observation(server, idle, views, can_new, self.dists, self.delta, cancelling)
 
     def _scan(self, now):
-        while True:
+        self.snapshot = None
+        status = self.status
+        acted = True
+        while acted:
             acted = False
             for s in range(self.k):
-                if self.status[s] != _IDLE:
+                if status[s] != _IDLE:
                     continue
-                if not self.saturated and not self.queue and not self.jobs:
+                can_new = self.arrivals is None or self.started < len(self.arrivals)
+                if not can_new and not self.jobs:
                     return
-                obs = self._observation(s, now)
-                dec = self.policy.decide(obs)
-                if dec.kind == "wait":
-                    continue
-                self._apply(dec, s, now)
-                acted = True
-            if not acted:
-                return
+                dec = self.policy.decide(self._observation(s, now, can_new))
+                if dec.kind != "wait":
+                    self._apply(dec, s, now)
+                    acted = True
 
     def _apply(self, dec: Decision, offered, now):
         if dec.kind == "plan":
@@ -210,16 +214,16 @@ class _Sim:
         raise PolicyError(f"unknown decision kind {dec.kind!r}")
 
     def _start_new(self, servers, now):
-        if self.saturated:
-            job = _Job(self.next_job_id, now)
-            self.next_job_id += 1
+        job_id = self.started
+        if self.arrivals is None:
+            arrival = now
+        elif job_id < len(self.arrivals):
+            arrival = self.arrivals[job_id]
         else:
-            if not self.queue:
-                raise PolicyError("new-job decision with an empty queue")
-            job_id, arrival = self.queue.popleft()
-            job = _Job(job_id, arrival)
-        job.origin = servers[0]
-        self.jobs[job.id] = job
+            raise PolicyError("new-job decision with an empty queue")
+        self.started += 1
+        job = _Job(job_id, arrival, servers[0])
+        self.jobs[job_id] = job
         for s in servers:
             self._launch(job, s, now)
 
@@ -235,16 +239,15 @@ class _Sim:
     def _launch(self, job, s, now):
         if self.status[s] != _IDLE:
             raise PolicyError(f"server {s} is not idle")
-        if self.saturated:
+        if self.arrivals is None:
             gap = now - self.idle_since[s]
             if gap > self.max_idle_gap:
                 self.max_idle_gap = gap
-        draw = self.dists[s].sample(self.rng)
         self.status[s] = _BUSY
-        self.server_job[s] = job
-        job.servers.append(s)
+        self.snapshot = None
+        job.servers += (s,)
         job.starts.append(now)
-        self._push(now + draw, _DEPART, job, s)
+        self._push(now + next(self.draws[s]), _DEPART, job, s)
         self._log(now, "start", job.id, s, len(job.servers))
 
     # -- events ---------------------------------------------------------------
@@ -260,7 +263,7 @@ class _Sim:
             for s in job.servers:
                 if self.delta > 0:
                     self.status[s] = _CANCEL
-                    self._cancel_until[s] = now + self.delta
+                    self.cancel_until[s] = now + self.delta
                     self._push(now + self.delta, _CANCEL_END, s, job.id)
                 else:
                     self._free(s, now)
@@ -275,60 +278,45 @@ class _Sim:
 
     def _free(self, s, now):
         self.status[s] = _IDLE
-        self.server_job[s] = None
         self.idle_since[s] = now
 
-    # -- main loops -------------------------------------------------------------
+    def _arrive(self, now, n_jobs):
+        job_id = len(self.arrivals)
+        self.arrivals.append(now)
+        queued = job_id + 1 - self.started
+        self._log(now, "arrive", job_id, -1, queued)
+        if job_id + 1 == max(1, n_jobs // 2):
+            self.q_mid = queued
+        if job_id + 1 < n_jobs:
+            self._push(now + next(self.gaps), _ARRIVE, None, 0)
+        else:
+            self.q_end = queued
+            self.served_at_horizon = len(self.dep_times)
 
-    def run_saturated(self, n_jobs, horizon=None):
-        self.saturated = True
-        self._cancel_until = [0.0] * self.k
+    # -- main loop ----------------------------------------------------------------
+
+    def run(self, n_jobs, horizon=INF):
+        """Process events until n_jobs jobs have departed or the next event
+        lies past the horizon.  In Poisson mode n_jobs also caps arrivals."""
+        heap = self.heap
+        if self.gaps is not None:
+            self._push(next(self.gaps), _ARRIVE, None, 0)
         self._scan(0.0)
-        while self.heap:
-            t = self.heap[0][0]
-            if horizon is not None and t > horizon:
-                break
-            while self.heap and self.heap[0][0] == t:
-                _, kind, _, a, b = heapq.heappop(self.heap)
-                if kind == _DEPART:
-                    self._depart(a, b, t)
-                elif kind == _CANCEL_END:
-                    self._free(a, t)
-                    self._log(t, "cancel_end", b, a, self.delta)
-                if len(self.dep_times) >= n_jobs:
-                    return
-            self._scan(t)
-
-    def run_poisson(self, lam, n_jobs, horizon=None):
-        self.saturated = False
-        self._cancel_until = [0.0] * self.k
-        self._push(self.rng.exponential(1.0 / lam), _ARRIVE, None, 0)
-        while self.heap:
-            t = self.heap[0][0]
-            if horizon is not None and t > horizon:
-                break
-            while self.heap and self.heap[0][0] == t:
-                _, kind, _, a, b = heapq.heappop(self.heap)
-                if kind == _DEPART:
-                    self._depart(a, b, t)
-                elif kind == _CANCEL_END:
-                    self._free(a, t)
-                    self._log(t, "cancel_end", b, a, self.delta)
-                elif kind == _ARRIVE:
-                    self.arrivals_seen += 1
-                    self.queue.append((self.next_job_id, t))
-                    self._log(t, "arrive", self.next_job_id, -1, len(self.queue))
-                    self.next_job_id += 1
-                    if self.arrivals_seen == max(1, n_jobs // 2):
-                        self.q_mid = len(self.queue)
-                    if self.arrivals_seen < n_jobs:
-                        self._push(t + self.rng.exponential(1.0 / lam), _ARRIVE, None, 0)
-                    else:
-                        self.q_end = len(self.queue)
-                        self.served_at_horizon = len(self.dep_times)
-            self._scan(t)
-            if self.arrivals_seen >= n_jobs and len(self.dep_times) >= n_jobs:
+        while heap:
+            t = heap[0][0]
+            if t > horizon:
                 return
+            while heap and heap[0][0] == t:
+                _, kind, _, a, b = heapq.heappop(heap)
+                if kind == _DEPART:
+                    if self._depart(a, b, t) and len(self.dep_times) >= n_jobs:
+                        return
+                elif kind == _CANCEL_END:
+                    self._free(a, t)
+                    self._log(t, "cancel_end", b, a, self.delta)
+                else:
+                    self._arrive(t, n_jobs)
+            self._scan(t)
 
 
 def run_saturated(config: SystemConfig, policy: Policy, n_jobs: int, seed: int) -> RunResult:
@@ -339,9 +327,8 @@ def run_saturated(config: SystemConfig, policy: Policy, n_jobs: int, seed: int) 
     """
     if n_jobs < 1:
         raise ValueError(f"need n_jobs >= 1, got {n_jobs}")
-    rng = np.random.default_rng(seed)
-    sim = _Sim(config, policy, rng)
-    sim.run_saturated(n_jobs)
+    sim = _Sim(config, policy, seed)
+    sim.run(n_jobs)
     times, costs = sim.dep_times, sim.dep_cost
     n = len(times)
     warm = max(1, int(n * _WARMUP_FRACTION)) if n > 1 else 0
@@ -402,20 +389,20 @@ def run_poisson(
     """Poisson arrivals at rate lam; servers idle when the queue is empty.
 
     Each of n_runs independent runs draws n_jobs arrivals and serves them
-    to completion; the reported response time is the mean of per-run means
-    with its across-run standard error.  The unstable flag fires when the
-    backlog at the end of arrivals dwarfs the jobs served, or when the
-    backlog keeps growing between the middle and the end of the arrival
-    stream (the signature of lam at or above the policy's capacity).
+    to completion; run i is seeded with [seed, i].  The reported response
+    time is the mean of per-run means with its across-run standard error.
+    The unstable flag fires when the backlog at the end of arrivals dwarfs
+    the jobs served, or when the backlog keeps growing between the middle
+    and the end of the arrival stream (the signature of lam at or above
+    the policy's capacity).
     """
     if lam <= 0:
         raise ValueError(f"need lam > 0, got {lam}")
     run_means, growths, q_ends, serveds = [], [], [], []
     throughputs = []
     for i in range(n_runs):
-        rng = np.random.default_rng([seed, i])
-        sim = _Sim(config, policy, rng)
-        sim.run_poisson(lam, n_jobs)
+        sim = _Sim(config, policy, [seed, i], lam)
+        sim.run(n_jobs)
         run_means.append(math.fsum(sim.dep_resp) / len(sim.dep_resp))
         growths.append(sim.q_end - sim.q_mid)
         q_ends.append(sim.q_end)
@@ -462,11 +449,6 @@ def event_trace(
     """Replay a run up to the time horizon, returning ordered event rows
     (time, event, job_id, server, detail).  Bit-identical across repeated
     invocations with the same arguments."""
-    rng = np.random.default_rng(seed)
     trace = []
-    sim = _Sim(config, policy, rng, trace=trace)
-    if lam > 0:
-        sim.run_poisson(lam, n_jobs=10**9, horizon=horizon)
-    else:
-        sim.run_saturated(n_jobs=10**9, horizon=horizon)
+    _Sim(config, policy, seed, lam, trace).run(n_jobs=10**9, horizon=horizon)
     return [row for row in trace if row[0] <= horizon]

@@ -10,6 +10,7 @@ policies are immutable and decide() is a pure function of the observation.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .analytic import Partition
 from .distributions import min_expectation
@@ -18,8 +19,7 @@ from .errors import InconsistentObservationError, PolicyError
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class JobView:
+class JobView(NamedTuple):
     """Read-only snapshot of one in-flight job."""
 
     job_id: int
@@ -27,11 +27,9 @@ class JobView:
     servers: tuple
     elapsed: tuple
     elapsed_original: float
-    history: tuple
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     server: int
     idle_servers: tuple
     jobs: tuple
@@ -56,8 +54,7 @@ class Observation:
             )
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """What to do with the offered server.
 
     kind "new": start the next queued job on every server in ``servers``

@@ -232,6 +232,12 @@ class TestHomogeneousBound:
         assert rep.value == pytest.approx(B2_EXAMPLE_HOMOGENEOUS, rel=1e-9)
         assert rep.optimizer == (1.0,)
 
+    def test_optimizer_holds_plain_floats(self):
+        # continuous laws fill the grids with numpy quantiles and geomspace
+        d = Pareto(1.0, 1.5)
+        for rep in (homogeneous_bound(d, 0.0, 2), optimize_pause_bound(d, Exponential(1.0))):
+            assert rep.optimizer and all(type(x) is float for x in rep.optimizer), rep.optimizer
+
     def test_single_server(self):
         rep = homogeneous_bound(Exponential(2.0), 0.7, 1)
         assert rep.value == pytest.approx(2.0, rel=1e-9)

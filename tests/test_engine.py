@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from repliq.policies import (
     NoRep,
     Policy,
     UpfrontRep,
+    WAIT,
 )
 
 INF = float("inf")
@@ -178,6 +181,66 @@ class TestEventTrace:
         assert "arrive" in kinds and "depart" in kinds
         arrivals = [t for t, ev, *_ in rows if ev == "arrive"]
         assert arrivals == sorted(arrivals)
+
+
+def _durations(rows, server):
+    """Service times of the jobs that server completed, in start order."""
+    started = {}
+    out = []
+    for t, ev, job, srv, _ in rows:
+        if ev == "start" and srv == server:
+            started[job] = t
+        elif ev == "depart" and job in started:
+            out.append(t - started.pop(job))
+    return out
+
+
+class _OnlyServerZero(Policy):
+    name = "only0"
+
+    def decide(self, obs):
+        if obs.server == 0 and obs.can_new:
+            return Decision("new", servers=(0,))
+        return WAIT
+
+
+class TestRandomStreams:
+    def test_server_streams_follow_spawned_seed_sequence(self):
+        config = SystemConfig(
+            (Exponential(1.0), FiniteSupport(((1.0, 0.9), (20.0, 0.1))), Exponential(0.5)), 0.0
+        )
+        rows = event_trace(config, NoRep(), horizon=400.0, seed=3)
+        children = np.random.SeedSequence(3).spawn(config.k + 1)
+        for s, d in enumerate(config.servers):
+            got = _durations(rows, s)
+            assert len(got) > 50
+            want = d.sample_array(np.random.default_rng(children[s]), len(got))
+            assert got == pytest.approx(want.tolist(), rel=1e-9, abs=1e-9)
+
+    def test_poisson_run_i_is_seeded_seed_i(self):
+        lam, n_jobs = 0.5, 60
+        res = run_poisson(EXAMPLE, NoRep(), lam, n_jobs=n_jobs, n_runs=2, seed=7)
+        run_means = []
+        for i in range(2):
+            rows = event_trace(EXAMPLE, NoRep(), horizon=2000.0, seed=[7, i], lam=lam)
+            arrivals = [t for t, ev, *_ in rows if ev == "arrive"]
+            gaps = np.random.default_rng(
+                np.random.SeedSequence([7, i]).spawn(EXAMPLE.k + 1)[-1]
+            ).exponential(1.0 / lam, len(arrivals))
+            assert np.diff([0.0] + arrivals) == pytest.approx(gaps, rel=1e-9, abs=1e-9)
+            # FIFO without replication: later arrivals never delay the first n_jobs
+            resp = [t - arrivals[job] for t, ev, job, *_ in rows if ev == "depart" and job < n_jobs]
+            assert len(resp) == n_jobs
+            run_means.append(math.fsum(resp) / n_jobs)
+        assert res.mean_response == pytest.approx(float(np.mean(run_means)), rel=1e-12)
+
+    def test_common_random_numbers_across_policies(self):
+        config = SystemConfig((Exponential(1.0), Exponential(1.0)), 0.0)
+        alone = _durations(event_trace(config, _OnlyServerZero(), horizon=30.0, seed=5), 0)
+        shared = _durations(event_trace(config, NoRep(), horizon=30.0, seed=5), 0)
+        assert len(alone) > 10 and len(shared) > 10
+        n = min(len(alone), len(shared))
+        assert alone[:n] == shared[:n]
 
 
 class TestCancellationWindows:

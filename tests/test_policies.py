@@ -29,7 +29,6 @@ def job(job_id, origin, servers, elapsed):
         servers=tuple(servers),
         elapsed=tuple(elapsed),
         elapsed_original=elapsed[0],
-        history=tuple(servers),
     )
 
 
