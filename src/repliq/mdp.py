@@ -14,6 +14,7 @@ departure maximizes throughput: rate = K / gain.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,8 @@ class MdpSolution:
     choices: list
     iterations: int
     method: str
+    span: float = math.nan  # final span of the last relative value iteration
+    bisection_rounds: int = 0  # halvings of the departure charge; 0 without bisection
 
 
 def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
@@ -59,7 +62,7 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
 
     Requires every service law to be atomic; the cancellation delay must
     sit on the lattice spanned by the atom values so elapsed times stay on
-    a finite grid.
+    a finite grid.  Equal labels, floats and transitions share one object.
     """
     ds = tuple(ds)
     atom_lists = []
@@ -72,46 +75,64 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
         atom_lists.append(atoms)
     _check_delta_lattice(atom_lists, delta)
     k = len(ds)
-    start = ((), (0.0,) * k, (0.0,) * k, 0)
-    states = [start]
-    index = {start: 0}
+    states = []
+    index = {}
     actions = []
+    # one pool per type, because 1 == 1.0 == True hash alike
+    labels, floats, transitions = {}, {}, {}
+    residuals = {}
+
+    def residual(s, t):
+        """Atoms of server s's law after t elapsed, values on the state grid."""
+        atoms = residuals.get((s, t))
+        if atoms is None:
+            law = ds[s] if t == 0 else ds[s].residual(t)
+            atoms = residuals[s, t] = [(round(v, _ROUND), p) for v, p in law._atoms()]
+        return atoms
+
+    def intern(state):
+        idx = index.get(state)
+        if idx is None:
+            if len(states) >= state_cap:
+                raise StateExplosionError(f"more than {state_cap} reachable states")
+            jobs, elapsed, cancel, pending = state
+            elapsed = tuple([floats.setdefault(t, t) for t in elapsed])
+            cancel = tuple([floats.setdefault(c, c) for c in cancel])
+            state = (jobs, elapsed, cancel, pending)
+            idx = index[state] = len(states)
+            states.append(state)
+        return idx
+
+    def transition(idx, p, c, departs):
+        tr = (idx, floats.setdefault(p, p), floats.setdefault(c, c), departs)
+        return transitions.setdefault(tr, tr)
+
+    intern(((), (0.0,) * k, (0.0,) * k, 0))
     frontier = 0
     while frontier < len(states):
         state = states[frontier]
         acts = []
         for label, occupancy in _enumerate_actions(state, k):
+            label = labels.setdefault(label, label)
             if occupancy is None:  # null step of a multi-departure chain
                 jobs, elapsed, cancel, pending = state
-                nxt = (jobs, elapsed, cancel, pending - 1)
-                idx = _intern(nxt, states, index, state_cap)
-                acts.append((label, ((idx, 1.0, 0.0, 1),)))
+                idx = intern((jobs, elapsed, cancel, pending - 1))
+                acts.append((label, (transition(idx, 1.0, 0.0, 1),)))
                 continue
             groups = {}
-            for combo_state, prob, cost, departs in _step(ds, occupancy, delta, k):
+            for combo_state, prob, cost, departs in _step(residual, occupancy, delta, k):
                 key = (combo_state, departs)
                 agg = groups.setdefault(key, [0.0, 0.0])
                 agg[0] += prob
                 agg[1] += prob * cost
-            trans = []
-            for (nxt, departs), (p, c) in sorted(groups.items()):
-                idx = _intern(nxt, states, index, state_cap)
-                trans.append((idx, p, c / p, departs))
-            acts.append((label, tuple(trans)))
+            trans = tuple(
+                transition(intern(nxt), p, c / p, departs)
+                for (nxt, departs), (p, c) in sorted(groups.items())
+            )
+            acts.append((label, trans))
         actions.append(acts)
         frontier += 1
     return MdpKernel(states=states, index=index, actions=actions, k=k, delta=delta)
-
-
-def _intern(state, states, index, cap):
-    idx = index.get(state)
-    if idx is None:
-        if len(states) >= cap:
-            raise StateExplosionError(f"more than {cap} reachable states")
-        idx = len(states)
-        index[state] = idx
-        states.append(state)
-    return idx
 
 
 def _check_delta_lattice(atom_lists, delta):
@@ -206,44 +227,42 @@ def _plan_label(plan):
     return "+".join(parts)
 
 
-def _step(ds, occupancy, delta, k):
+def _step(residual, occupancy, delta, k):
     """Joint outcomes until the next server-release epoch.
 
     Yields (next_state, probability, cost, departures-flag) per outcome of
-    the conditional service laws of the busy servers.
+    the conditional service laws of the busy servers; residual(s, t) gives
+    server s's atoms after t elapsed, rounded to the state grid.
     """
     jobs, elapsed, cancel = occupancy
     busy = sorted({s for job in jobs for s in job})
-    residual_atoms = []
-    for s in busy:
-        d = ds[s]
-        law = d if elapsed[s] == 0 else d.residual(elapsed[s])
-        residual_atoms.append(law._atoms())
-    cancel_releases = [c for c in cancel if c > 0]
-    for combo in itertools.product(*residual_atoms):
+    slot = {s: i for i, s in enumerate(busy)}
+    windows = [(job, [slot[s] for s in job], delta if len(job) >= 2 else 0.0) for job in jobs]
+    cancel_tau = min([c for c in cancel if c > 0], default=INF)
+    for combo in itertools.product(*[residual(s, elapsed[s]) for s in busy]):
         prob = 1.0
-        draw = {}
-        for s, (v, p) in zip(busy, combo):
+        for _, p in combo:
             prob *= p
-            draw[s] = round(v, _ROUND)
-        completion = {job: min(draw[s] for s in job) for job in jobs}
-        release = {
-            job: round(c + (delta if len(job) >= 2 else 0.0), _ROUND)
-            for job, c in completion.items()
-        }
-        tau = min(
-            min(release.values(), default=INF),
-            min(cancel_releases, default=INF),
-        )
-        finished = [job for job in jobs if completion[job] <= tau]
-        survivors = [job for job in jobs if completion[job] > tau]
+        tau = cancel_tau
+        ends = []
+        for job, slots, window in windows:
+            completion = min([combo[i][0] for i in slots])
+            release = round(completion + window, _ROUND)
+            ends.append((job, completion, release))
+            if release < tau:
+                tau = release
+        survivors = []
         nxt_elapsed = [0.0] * k
         nxt_cancel = [0.0] * k
-        for job in survivors:
-            for s in job:
-                nxt_elapsed[s] = round(elapsed[s] + tau, _ROUND)
-        for job in finished:
-            rem = round(release[job] - tau, _ROUND)
+        finished = 0
+        for job, completion, release in ends:
+            if completion > tau:
+                survivors.append(job)
+                for s in job:
+                    nxt_elapsed[s] = round(elapsed[s] + tau, _ROUND)
+                continue
+            finished += 1
+            rem = round(release - tau, _ROUND)
             if rem > 0:
                 for s in job:
                     nxt_cancel[s] = rem
@@ -252,14 +271,13 @@ def _step(ds, occupancy, delta, k):
                 rem = round(c - tau, _ROUND)
                 if rem > 0:
                     nxt_cancel[s] = rem
-        h = len(finished)
         nxt = (
             tuple(sorted(survivors)),
             tuple(nxt_elapsed),
             tuple(nxt_cancel),
-            max(0, h - 1),
+            max(0, finished - 1),
         )
-        yield nxt, prob, k * tau, (1 if h >= 1 else 0)
+        yield nxt, prob, k * tau, (1 if finished >= 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,86 +297,174 @@ def solve_average_cost(kernel: MdpKernel, tol: float = 1e-9, max_iters: int = 20
     the same iteration inside.  The chain induced by the returned policy is
     verified to have a single recurrent class.
     """
-    uniform_departures = all(
-        d == 1
-        for acts in kernel.actions
-        for _, trans in acts
-        for _, _, _, d in trans
-    )
-    if uniform_departures:
-        gain, choices, iters = _rvi_per_step(kernel, 0.0, tol, max_iters)
+    flat = _flatten(kernel)
+    if np.count_nonzero(flat.departs) == len(flat.departs):  # departures are 0 or 1
+        gain, choices, iters, span = _rvi_per_step(flat, 0.0, tol, max_iters)
         solution = MdpSolution(
             gain=float(gain),
             throughput=float(kernel.k / gain),
             choices=choices,
             iterations=iters,
             method="rvi",
+            span=span,
         )
     else:
-        solution = _solve_with_departure_gaps(kernel, tol, max_iters)
+        solution = _solve_with_departure_gaps(kernel.k, flat, tol, max_iters)
     _verify_unichain(kernel, solution.choices)
     return solution
 
 
-def _rvi_per_step(kernel, departure_charge, tol, max_iters, damping=0.5):
+class _FlatKernel(NamedTuple):
+    """A kernel as arrays laid out for relative value iteration.
+
+    Transitions are stored position-major: first the 0th transition of
+    every (state, action) row, then the 1st, and so on, with rows ordered
+    by falling transition count, so the rows holding an m-th transition
+    are a prefix.  pick gathers the row sums action-position-major, with
+    states ordered by falling action count; state_rank maps a state to
+    its place in that order.
+    """
+
+    target: np.ndarray  # int32 per transition
+    prob: np.ndarray
+    cost: np.ndarray
+    departs: np.ndarray  # int8 per transition
+    sum_sizes: list  # rows holding an m-th transition, for m = 0, 1, ...
+    pick: np.ndarray  # row sum index, action-position-major
+    pick_sizes: list  # states holding an a-th action, for a = 0, 1, ...
+    state_rank: np.ndarray
+
+
+def _flatten(kernel):
+    """The kernel's arrays, built once for every value iteration on it."""
+    actions = kernel.actions
+    n_acts = [len(acts) for acts in actions]
+    n_trans = [len(trans) for acts in actions for _, trans in acts]
+
+    def column(i, dtype):
+        return np.fromiter(
+            (t[i] for acts in actions for _, trans in acts for t in trans), dtype, sum(n_trans)
+        )
+
+    row_rank, trans_slot, sum_sizes = _position_major(n_trans)
+    state_rank, row_slot, pick_sizes = _position_major(n_acts)
+    order = np.empty(len(trans_slot), np.intp)
+    order[trans_slot] = np.arange(len(trans_slot))
+    pick = np.empty(len(row_slot), np.intp)
+    pick[row_slot] = row_rank
+    return _FlatKernel(
+        target=column(0, np.int32)[order],
+        prob=column(1, np.float64)[order],
+        cost=column(2, np.float64)[order],
+        departs=column(3, np.int8)[order],
+        sum_sizes=sum_sizes,
+        pick=pick,
+        pick_sizes=pick_sizes,
+        state_rank=state_rank,
+    )
+
+
+def _position_major(counts):
+    """Position-major layout of counts[i] items stored contiguously per owner.
+
+    Owners are ranked by falling count; the layout holds every owner's 0th
+    item in rank order, then every 1st item, and so on, so the owners with
+    an m-th item are a prefix of the m-th block.  Returns each owner's
+    rank, each item's slot in the layout and the size of each block.
+    """
+    n = len(counts)
+    rank = np.empty(n, np.intp)
+    rank[sorted(range(n), key=counts.__getitem__, reverse=True)] = np.arange(n)
+    owner = np.repeat(np.arange(n), counts)
+    first = np.cumsum(counts) - counts
+    pos = np.arange(len(owner)) - first[owner]
+    sizes = np.bincount(pos)
+    slot = (np.cumsum(sizes) - sizes)[pos] + rank[owner]
+    return rank, slot, sizes.tolist()
+
+
+def _rvi_per_step(flat, departure_charge, tol, max_iters, damping=0.5):
     """Relative value iteration on per-transition costs c - charge * d.
 
     Returns (per-step average cost under the optimal policy, greedy
-    choices, iterations).  The damped update keeps periodic chains
-    contracting in the span seminorm.
+    choices, iterations, final span).  The damped update keeps periodic
+    chains contracting in the span seminorm.  Each row sum adds its terms
+    left to right from 0.0 and each state keeps the first action that
+    beats the best so far by more than 1e-15, so the result is the same to
+    the last bit as the per-state loop over the kernel's tuples.
     """
-    n = kernel.n_states
+    n = len(flat.state_rank)
+    base = flat.cost - departure_charge * flat.departs
+    terms = np.empty(len(base))
+    sums = np.empty(len(flat.pick))
+    vals = np.empty(len(flat.pick))
+    best = np.empty(n)
+    choice = np.empty(n, np.intp)
+    adds = []
+    offset = 0
+    for size in flat.sum_sizes:
+        adds.append((sums[:size], terms[offset : offset + size]))
+        offset += size
+    picks = []
+    offset = 0
+    for a, size in enumerate(flat.pick_sizes):
+        picks.append((a, vals[offset : offset + size], best[:size], choice[:size]))
+        offset += size
     h = np.zeros(n)
-    choices = [0] * n
     span = INF
     for it in range(1, max_iters + 1):
-        w = np.empty(n)
-        for s in range(n):
-            best = INF
-            best_a = 0
-            for a, (_, trans) in enumerate(kernel.actions[s]):
-                val = 0.0
-                for j, p, c, d in trans:
-                    val += p * (c - departure_charge * d + h[j])
-                if val < best - 1e-15:
-                    best, best_a = val, a
-            w[s] = best
-            choices[s] = best_a
+        np.take(h, flat.target, out=terms)
+        np.add(base, terms, out=terms)
+        np.multiply(flat.prob, terms, out=terms)
+        sums.fill(0.0)
+        for acc, term in adds:
+            acc += term
+        np.take(sums, flat.pick, out=vals)
+        best.fill(INF)
+        choice.fill(0)
+        for a, val, b, ch in picks:
+            better = val < b - 1e-15
+            np.copyto(b, val, where=better)
+            np.copyto(ch, a, where=better)
+        w = best[flat.state_rank]
         diff = w - h
         span = diff.max() - diff.min()
         if span < tol:
-            return float(0.5 * (diff.max() + diff.min())), list(choices), it
+            choices = choice[flat.state_rank].tolist()
+            return float(0.5 * (diff.max() + diff.min())), choices, it, float(span)
         h = damping * (w - w[0]) + (1.0 - damping) * h
     raise NoConvergenceError(f"span {span:.3e} after {max_iters} iterations")
 
 
-def _solve_with_departure_gaps(kernel, tol, max_iters):
+def _solve_with_departure_gaps(k, flat, tol, max_iters):
     inner_tol = min(tol, 1e-10)
 
     def phi(g):
-        return _rvi_per_step(kernel, g, inner_tol, max_iters)
+        return _rvi_per_step(flat, g, inner_tol, max_iters)
 
     lo, hi = 0.0, 1.0
     iters = 0
-    value, choices, it = phi(hi)
+    value, choices, it, span = phi(hi)
     iters += it
     while value > 0.0:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise NoConvergenceError("cost per departure appears unbounded")
-        value, choices, it = phi(hi)
+        value, choices, it, span = phi(hi)
         iters += it
-    for _ in range(200):
+    for rounds in range(1, 201):
         mid = 0.5 * (lo + hi)
-        value, choices, it = phi(mid)
+        value, choices, it, span = phi(mid)
         iters += it
         if abs(value) < tol or (hi - lo) < tol * max(1.0, mid):
             return MdpSolution(
                 gain=mid,
-                throughput=kernel.k / mid,
+                throughput=k / mid,
                 choices=choices,
                 iterations=iters,
                 method="bisection-rvi",
+                span=span,
+                bisection_rounds=rounds,
             )
         if value > 0.0:
             lo = mid

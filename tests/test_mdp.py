@@ -1,22 +1,35 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from repliq.bounds import optimize_pause_bound
 from repliq.distributions import Deterministic, Exponential, FiniteSupport
 from repliq.engine import SystemConfig, run_saturated
-from repliq.errors import NonLatticeDeltaError, StateExplosionError
+from repliq.errors import (
+    MultichainError,
+    NoConvergenceError,
+    NonLatticeDeltaError,
+    StateExplosionError,
+)
 from repliq.mdp import (
+    MdpKernel,
     as_tabular_policy,
     build_mdp,
     policy_rows,
     solve_average_cost,
     _evaluate,
+    _flatten,
+    _rvi_per_step,
+    _verify_unichain,
 )
 
 INF = float("inf")
 
 EXAMPLE_DISTS = (Deterministic(2.0), FiniteSupport(((1.0, 0.9), (20.0, 0.1))))
+LATTICE_DISTS = (Deterministic(0.3), FiniteSupport(((0.1, 0.7), (1.7, 0.3))))
+THREE_TWO_ATOM = (FiniteSupport(((1.0, 0.9), (4.0, 0.1))),) * 3
 ADAREP_RENEWAL_RATE = 2.9 / 2.38  # three renewal interval types, two servers
 
 
@@ -213,3 +226,166 @@ class TestCrossValidation:
         rows = policy_rows(example_kernel, example_solution)
         assert len(rows) == example_kernel.n_states
         assert all("jobs=" in state and action for state, action in rows)
+
+
+# Kernels and solutions recorded from the per-state loop solver; the array
+# solver must reproduce them to the last bit.
+PINNED = {
+    "example": dict(
+        ds=EXAMPLE_DISTS,
+        delta=0.0,
+        states=22,
+        transitions=45,
+        states_sha="8e33f16cf9190f86485bfbffde4dce9d702939fbbcc4dcc6b39fc7673b64c2e7",
+        actions_sha="33d9268e0aff57768357572a8e2685bcc3a09073e094d30673f1c64c7d3aa16f",
+        method="rvi",
+        iterations=40,
+        throughput=1.2184873951577366,
+        gain=1.641379310075747,
+        choices=[1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0],
+    ),
+    "lattice": dict(
+        ds=LATTICE_DISTS,
+        delta=0.1,
+        states=20,
+        transitions=42,
+        states_sha="a4a02920d1ec26a318a4b37b2ad901afdd03f09ebfae7cd4e71e2e392cf3b554",
+        actions_sha="69593e3a274baa764a72736785d1fb5e3d0b85eb567f161b8c979d0f891b4811",
+        method="rvi",
+        iterations=47,
+        throughput=5.668088136520742,
+        gain=0.3528526642190969,
+        choices=[1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    "three_two_atom": dict(
+        ds=THREE_TWO_ATOM,
+        delta=1.0,
+        states=81,
+        transitions=385,
+        states_sha="155adbdbae301db511f965d3828de62cce56d195ae0d0c58484b96c45443c34d",
+        actions_sha="ed445865f4d0472b74b776546f0b3ff4e1ab7629adc99b6e489fc6b8b6cd3f02",
+        method="bisection-rvi",
+        iterations=2820,
+        throughput=2.3076923063697192,
+        gain=1.300000000745058,
+        choices=[4, 0, 1, 1, 0, 1, 1, 0, 1, 1] + [0] * 14 + [1, 0, 0, 1] + [0] * 8
+        + [1] + [0] * 8 + [1, 1, 1] + [0] * 33,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED))
+def pinned(request):
+    pin = PINNED[request.param]
+    kernel = build_mdp(pin["ds"], pin["delta"])
+    return pin, kernel, solve_average_cost(kernel)
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class TestPinned:
+    def test_kernel_unchanged(self, pinned):
+        pin, kernel, _ = pinned
+        assert kernel.n_states == pin["states"]
+        assert sum(len(trans) for acts in kernel.actions for _, trans in acts) == pin["transitions"]
+        assert _sha(kernel.states) == pin["states_sha"]
+        assert _sha(kernel.actions) == pin["actions_sha"]
+
+    def test_solution_bit_identical(self, pinned):
+        pin, _, solution = pinned
+        assert solution.method == pin["method"]
+        assert solution.iterations == pin["iterations"]
+        assert solution.throughput == pin["throughput"]
+        assert solution.gain == pin["gain"]
+        assert solution.choices == pin["choices"]
+
+    def test_diagnostics(self, pinned):
+        pin, _, solution = pinned
+        if pin["method"] == "rvi":
+            assert 0.0 <= solution.span < 1e-9
+            assert solution.bisection_rounds == 0
+        else:
+            assert 0.0 <= solution.span < 1e-10
+            assert solution.bisection_rounds == 28
+
+    def test_one_object_per_distinct_value(self, pinned):
+        _, kernel, _ = pinned
+        labels = [label for acts in kernel.actions for label, _ in acts]
+        trans = [t for acts in kernel.actions for _, ts in acts for t in ts]
+        floats = [x for _, elapsed, cancel, _ in kernel.states for x in elapsed + cancel]
+        floats += [x for _, p, c, _ in trans for x in (p, c)]
+        for values in (labels, trans, floats):
+            assert len({id(v) for v in values}) == len(set(values))
+
+
+def _loop_rvi(kernel, departure_charge, tol, max_iters, damping=0.5):
+    """The per-state Python loop the array solver replaced, as a reference."""
+    n = kernel.n_states
+    h = np.zeros(n)
+    choices = [0] * n
+    for it in range(1, max_iters + 1):
+        w = np.empty(n)
+        for s in range(n):
+            best = INF
+            best_a = 0
+            for a, (_, trans) in enumerate(kernel.actions[s]):
+                val = 0.0
+                for j, p, c, d in trans:
+                    val += p * (c - departure_charge * d + h[j])
+                if val < best - 1e-15:
+                    best, best_a = val, a
+            w[s] = best
+            choices[s] = best_a
+        diff = w - h
+        span = diff.max() - diff.min()
+        if span < tol:
+            return float(0.5 * (diff.max() + diff.min())), list(choices), it, float(span)
+        h = damping * (w - w[0]) + (1.0 - damping) * h
+    raise AssertionError("reference loop did not converge")
+
+
+class TestArraySolver:
+    @pytest.mark.parametrize("charge", [0.0, 0.75, 1.3, 2.0])
+    def test_matches_loop_to_the_last_bit(self, pinned, charge):
+        _, kernel, _ = pinned
+        flat = _flatten(kernel)
+        assert _rvi_per_step(flat, charge, 1e-10, 10_000) == _loop_rvi(kernel, charge, 1e-10, 10_000)
+
+    def test_near_tie_keeps_first_action(self):
+        # the second action is cheaper by one ulp, inside the 1e-15 margin
+        cheaper = math.nextafter(1.0, 0.0)
+        kernel = MdpKernel(
+            states=["s"],
+            index={"s": 0},
+            actions=[[("a", ((0, 1.0, 1.0, 1),)), ("b", ((0, 1.0, cheaper, 1),))]],
+            k=1,
+            delta=0.0,
+        )
+        solution = solve_average_cost(kernel)
+        assert solution.choices == [0] and solution.gain == 1.0
+        assert _rvi_per_step(_flatten(kernel), 0.0, 1e-9, 100) == _loop_rvi(kernel, 0.0, 1e-9, 100)
+
+    def test_rvi_iteration_cap(self, example_kernel):
+        with pytest.raises(NoConvergenceError):
+            solve_average_cost(example_kernel, max_iters=1)
+
+    def test_bisection_iteration_cap(self):
+        kernel = build_mdp(THREE_TWO_ATOM, 1.0)
+        with pytest.raises(NoConvergenceError):
+            solve_average_cost(kernel, max_iters=1)
+
+    def test_two_closed_classes_rejected(self):
+        # state 0 falls into one of two absorbing states
+        split = (("go", ((1, 0.5, 1.0, 1), (2, 0.5, 1.0, 1))),)
+        stay = [(("stay", ((s, 1.0, 1.0, 1),)),) for s in (1, 2)]
+        kernel = MdpKernel(
+            states=["start", "left", "right"],
+            index={"start": 0, "left": 1, "right": 2},
+            actions=[split, *stay],
+            k=1,
+            delta=0.0,
+        )
+        with pytest.raises(MultichainError):
+            _verify_unichain(kernel, [0, 0, 0])
