@@ -220,8 +220,9 @@ def homogeneous_cost(
     extra_finisher_term=False).
 
     estimator="exact": exact enumeration for atomic laws, tail-product
-    quadrature otherwise.  estimator="monte-carlo": n_paths common-random-
-    number sample paths.  Returns (mean, stderr); stderr is 0 for the exact
+    integrals otherwise (closed form for exponential mixtures, else
+    quadrature).  estimator="monte-carlo": n_paths common-random-number
+    sample paths.  Returns (mean, stderr); stderr is 0 for the exact
     path.
     """
     starts = starts.starts if isinstance(starts, StartTimeVector) else tuple(starts)
@@ -245,7 +246,7 @@ def homogeneous_cost(
     atoms = d._atoms()
     if atoms is not None:
         return _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term), 0.0
-    return _cost_quadrature(d, all_starts, delta, extra_finisher_term), 0.0
+    return _cost_tail_integrals(d, all_starts, delta, extra_finisher_term), 0.0
 
 
 def _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term):
@@ -267,7 +268,7 @@ def _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term):
     return total
 
 
-def _cost_quadrature(d, all_starts, delta, extra_finisher_term):
+def _cost_tail_integrals(d, all_starts, delta, extra_finisher_term):
     active = [t for t in all_starts if t < INF]
     comps = [(d, t, 1) for t in active]
     cost = 0.0
@@ -344,11 +345,18 @@ def homogeneous_bound(
         rng = np.random.default_rng(seed)
         draws = d.sample_array(rng, n_paths * k).reshape(n_paths, k)
 
+    # the cost is a pure function of the vector (Monte-Carlo reuses one draw
+    # matrix), and descent sweeps revisit vectors, so cost each one once
+    memo = {}
+
     def cost(vec):
-        return homogeneous_cost(
-            d, delta, vec, estimator, n_paths, seed,
-            extra_finisher_term=extra_finisher_term, _crn_draws=draws,
-        )
+        key = tuple(vec)
+        if key not in memo:
+            memo[key] = homogeneous_cost(
+                d, delta, vec, estimator, n_paths, seed,
+                extra_finisher_term=extra_finisher_term, _crn_draws=draws,
+            )
+        return memo[key]
 
     best_vec, best_cost, best_err = None, INF, 0.0
     for r in range(1, k + 1):

@@ -3,9 +3,11 @@
 Every throughput formula in the toolkit consumes the same handful of
 quantities: the mean, the tail P(X > x), the truncated mean E[min(X, t)],
 the residual law (X - t | X > t), and expectations of minima of independent
-service times.  This module provides them in closed form per variant and
-falls back to breakpoint-aware quadrature only where no closed form exists
-(products of heterogeneous tails).
+service times.  This module provides them in closed form per variant.
+Integrals of products of tails are exact for atomic laws (a step function)
+and for exponential mixtures (exp, shiftexp, hyperexp and their residuals: a
+sum of exponentials between offsets); breakpoint-aware quadrature is kept
+for products with no closed form (Pareto, or any of those mixed with it).
 
 Conventions: tail(x) = P(X > x) and equals 1 for any x below the support;
 ``float('inf')`` is an admissible threshold/age everywhere it makes sense.
@@ -70,6 +72,7 @@ class ServiceDistribution:
     # _breakpoints: x values where the tail jumps or kinks.
     # _decay: ("bounded",) | ("exp",) | ("poly", alpha) asymptotic tail class.
     # _atoms: [(value, prob), ...] for purely atomic laws, else None.
+    # _phases: [(weight, rate), ...] for mixtures of exponentials, else None.
 
     def _support_upper(self) -> float:
         return INF
@@ -81,6 +84,9 @@ class ServiceDistribution:
         return ("exp",)
 
     def _atoms(self):
+        return None
+
+    def _phases(self):
         return None
 
 
@@ -162,6 +168,9 @@ class Exponential(ServiceDistribution):
 
     def sample_array(self, rng, n):
         return -np.log1p(-rng.random(n)) / self.rate
+
+    def _phases(self):
+        return ((1.0, self.rate),)
 
     def __str__(self):
         return f"exp({_fmt(self.rate)})"
@@ -279,6 +288,9 @@ class HyperExp(ServiceDistribution):
         u = rng.random(n)
         rates = np.where(branch, self.rate2, self.rate1)
         return -np.log1p(-u) / rates
+
+    def _phases(self):
+        return ((1.0 - self.p2, self.rate1), (self.p2, self.rate2))
 
     def __str__(self):
         return f"hyperexp({_fmt(self.rate1)},{_fmt(self.rate2)},{_fmt(self.p2)})"
@@ -466,8 +478,9 @@ def _fmt(x: float) -> str:
 def min_expectation(ds) -> float:
     """E[min over the given laws] = integral over [0, inf) of the product of tails.
 
-    Exact for purely atomic inputs and for all-exponential inputs; adaptive
-    quadrature (relative error ~1e-9) otherwise.
+    Exact for purely atomic inputs and for inputs that are all exponential
+    mixtures (exp, shiftexp, hyperexp); adaptive quadrature (relative error
+    ~1e-9) otherwise.
     """
     ds = list(ds)
     if not ds:
@@ -497,8 +510,8 @@ def product_tail_integral(components, lower: float = 0.0) -> float:
 
     if all(d._atoms() is not None for d, _, _ in comps):
         return _atomic_integral(comps, lower, upper)
-    if all(isinstance(d, Exponential) for d, _, _ in comps):
-        return _exponential_integral(comps, lower)
+    if all(d._phases() is not None for d, _, _ in comps):
+        return _mixture_integral(comps, lower)
 
     def f(x):
         out = 1.0
@@ -572,22 +585,31 @@ def _atomic_integral(comps, lower, upper):
     return total
 
 
-def _exponential_integral(comps, lower):
-    # piecewise-exponential product: exact on each segment between offsets
+def _mixture_integral(comps, lower):
+    # on each segment between offsets the product of exponential-mixture tails
+    # is a finite sum of exponentials; phase weights are taken at the segment
+    # start, so no factor exp(rate * offset) is ever formed
     edges = sorted({lower} | {off for _, off, _ in comps if off > lower})
     total = 0.0
-    for i, a in enumerate(edges):
-        b = edges[i + 1] if i + 1 < len(edges) else INF
-        active = [(d, off, pw) for d, off, pw in comps if off <= a]
-        rate = sum(d.rate * pw for d, _, pw in active)
-        if rate == 0.0:
-            if b == INF:
+    for a, b in zip(edges, edges[1:] + [INF]):
+        terms = {0.0: 1.0}  # total rate -> coefficient
+        for d, off, pw in comps:
+            if off > a:
+                continue
+            phases = [(w * math.exp(-r * (a - off)), r) for w, r in d._phases()]
+            for _ in range(pw):
+                grown = {}
+                for rate, coef in terms.items():
+                    for w, r in phases:
+                        grown[rate + r] = grown.get(rate + r, 0.0) + coef * w
+                terms = grown
+        for rate, coef in terms.items():
+            if rate > 0.0:
+                total += coef * (1.0 if b == INF else -math.expm1(-rate * (b - a))) / rate
+            elif b < INF:
+                total += coef * (b - a)
+            else:
                 raise InfiniteMeanError("constant tail with unbounded support")
-            total += b - a
-            continue
-        scale = math.exp(sum(d.rate * pw * off for d, off, pw in active))
-        upper_term = 0.0 if b == INF else math.exp(-rate * b)
-        total += scale * (math.exp(-rate * a) - upper_term) / rate
     return total
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import repliq.bounds as bounds_module
 from repliq.analytic import (
     iter_partitions,
     throughput_fullrep,
@@ -23,6 +24,7 @@ from repliq.distributions import (
     Deterministic,
     Exponential,
     FiniteSupport,
+    HyperExp,
     Pareto,
     Shifted,
 )
@@ -266,3 +268,46 @@ class TestHomogeneousBound:
         assert rep.value >= throughput_fullrep(ds, delta).value - 1e-9
         for part in iter_partitions(k):
             assert rep.value >= throughput_upfront(part, ds, delta).value - 1e-9
+
+
+class TestHomogeneousBoundPins:
+    """hyperexp(0.6,0.2,0.4) on six servers with delta 0.1 (the homog_wide
+    benchmark law); values recorded with per-segment quadrature and no memo."""
+
+    D = HyperExp(0.6, 0.2, 0.4)
+
+    def test_exact(self):
+        rep = homogeneous_bound(self.D, 0.1, 6)
+        assert rep.optimizer == (
+            1.4532128032715896,
+            1.992881871092221,
+            2.7156527111834863,
+            3.1882471000119845,
+            3.7790345632989704,
+        )
+        assert rep.value == pytest.approx(2.2578475739689075, rel=1e-13)
+
+    def test_monte_carlo(self):
+        rep = homogeneous_bound(self.D, 0.1, 6, estimator="monte-carlo", n_paths=5000, seed=123)
+        assert rep.value == 2.2283750984069166
+        assert rep.stderr == 0.031063317818026192
+        assert rep.optimizer == (
+            1.025937330314464,
+            1.025937330314464,
+            1.992881871092221,
+            2.7156527111834863,
+            2.7156527111834863,
+        )
+
+    @pytest.mark.parametrize("estimator", ["exact", "monte-carlo"])
+    def test_each_start_vector_costed_once(self, monkeypatch, estimator):
+        seen = []
+        original = bounds_module.homogeneous_cost
+
+        def counting(d, delta, starts, *args, **kwargs):
+            seen.append(tuple(starts))
+            return original(d, delta, starts, *args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "homogeneous_cost", counting)
+        homogeneous_bound(self.D, 0.1, 6, estimator=estimator, n_paths=5000, seed=123)
+        assert seen and len(seen) == len(set(seen))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -241,6 +242,53 @@ class TestMinExpectation:
         s = np.minimum(d.sample_array(rng, n), d.sample_array(rng, n) + 1.0)
         mc = np.maximum(s - 0.5, 0.0)
         assert value == pytest.approx(mc.mean(), abs=4 * mc.std() / math.sqrt(n))
+
+
+def _random_mixture_case(rng):
+    """Components mixing exp and hyperexp laws, some shifted, with offsets,
+    powers 1-3 and a lower limit, all drawn from ``rng``."""
+    comps = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.4:
+            d = Exponential(rng.uniform(0.1, 3.0))
+        else:
+            p2 = rng.choice([0.0, 1.0, rng.random()])
+            d = HyperExp(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), p2)
+        if rng.random() < 0.3:
+            d = Shifted(rng.uniform(0.0, 2.0), d)
+        comps.append((d, rng.choice([0.0, rng.uniform(0.0, 3.0)]), rng.randint(1, 3)))
+    return comps, rng.choice([0.0, rng.uniform(0.0, 4.0)])
+
+
+class TestMixtureClosedForm:
+    def test_far_offsets_do_not_overflow(self):
+        # an exp(rate * offset) factor overflows here; segment-anchored weights do not
+        assert min_expectation([parse_distribution("shiftexp(800,1)")]) == 801.0
+        assert product_tail_integral([(Exponential(1.0), 750.0, 1)]) == 751.0
+        pair = [parse_distribution("shiftexp(800,1)"), parse_distribution("shiftexp(799,2)")]
+        expected = 799.0 + -math.expm1(-2.0) / 2.0 + math.exp(-2.0) / 3.0
+        assert min_expectation(pair) == pytest.approx(expected, rel=1e-15)
+        assert expected == pytest.approx(799.4774441194605, rel=1e-15)
+
+    def test_matches_quadrature_oracle(self):
+        # Residual(d, 0) has the same tail as d but takes the quadrature path
+        rng = random.Random(20260)
+        checked = 0
+        for _ in range(150):
+            comps, lower = _random_mixture_case(rng)
+            exact = product_tail_integral(comps, lower=lower)
+            oracle = product_tail_integral(
+                [(Residual(d, 0.0), off, pw) for d, off, pw in comps], lower=lower
+            )
+            if oracle > 1e-6:
+                assert exact == pytest.approx(oracle, rel=1e-9), (comps, lower)
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("r1,r2,p", [(0.6, 0.2, 0.4), (2.0, 0.05, 0.1), (1.0, 3.0, 0.0)])
+    def test_hyperexp_pair_closed_form(self, r1, r2, p):
+        expected = (1 - p) ** 2 / (2 * r1) + 2 * p * (1 - p) / (r1 + r2) + p**2 / (2 * r2)
+        assert min_expectation_iid(HyperExp(r1, r2, p), 2) == pytest.approx(expected, rel=1e-14)
 
 
 class TestSampling:
