@@ -20,8 +20,6 @@ from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, RepliqError
 from .policies import parse_policy
 
-INF = float("inf")
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -208,7 +206,7 @@ def cmd_bound(cfg: ExperimentConfig, args):
             try:
                 if kind == "pause":
                     rep = bounds.optimize_pause_bound(ds[0], ds[1], delta)
-                    opt = f"t12={_time(rep.optimizer[0])};t21={_time(rep.optimizer[1])}"
+                    opt = f"t12={_num(rep.optimizer[0])};t21={_num(rep.optimizer[1])}"
                 else:
                     rep = bounds.homogeneous_bound(
                         ds[0],
@@ -218,7 +216,7 @@ def cmd_bound(cfg: ExperimentConfig, args):
                         n_paths=cfg.paths,
                         seed=cfg.seed,
                     )
-                    opt = ";".join(_time(t) for t in rep.optimizer)
+                    opt = ";".join(_num(t) for t in rep.optimizer)
                 row.update(bound=_num(rep.value), optimizer=opt, stderr=_num(rep.stderr), error="")
             except RepliqError as exc:
                 row.update(bound="", optimizer="", stderr="", error=str(exc))
@@ -277,11 +275,8 @@ def _write_trace(path, system, policy, horizon, seed, lam):
 
 
 def _num(x) -> str:
+    # CSV cells keep the float repr (2.0, inf); literals use distributions._fmt (2)
     return repr(float(x))
-
-
-def _time(t) -> str:
-    return "inf" if t == INF else repr(float(t))
 
 
 def _write_csv(rows, fields, out_path):

@@ -20,7 +20,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .distributions import parse_distribution
+from .distributions import parse_distribution, parse_number
 from .engine import SystemConfig
 from .errors import ConfigError
 from .policies import parse_policy
@@ -79,9 +79,9 @@ class ExperimentConfig:
             servers = tuple(
                 parse_distribution(self._subst(s, point)) for s in self.servers_raw
             )
-            delta = _eval_number(self._subst(self.delta_raw, point))
+            delta = parse_number(self._subst(self.delta_raw, point))
             return SystemConfig(servers=servers, delta=delta)
-        except (ValueError, SyntaxError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def materialize(self, point):
@@ -192,37 +192,3 @@ def _parse_number_list(text: str):
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}: {exc}") from exc
-
-
-def _eval_number(text: str) -> float:
-    import ast
-
-    node = ast.parse(text, mode="eval").body
-    return _eval_arith(node)
-
-
-def _eval_arith(node):
-    import ast
-
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-    ):
-        a, b = _eval_arith(node.left), _eval_arith(node.right)
-        ops = {
-            ast.Add: lambda: a + b,
-            ast.Sub: lambda: a - b,
-            ast.Mult: lambda: a * b,
-            ast.Div: lambda: a / b if b else math.inf,
-            ast.Pow: lambda: a**b,
-        }
-        return ops[type(node.op)]()
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = _eval_arith(node.operand)
-        return -v if isinstance(node.op, ast.USub) else v
-    if isinstance(node, ast.Name) and node.id == "inf":
-        return math.inf
-    import ast as _ast
-
-    raise ConfigError(f"bad numeric expression: {_ast.unparse(node)}")

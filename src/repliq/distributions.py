@@ -633,14 +633,27 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 def parse_distribution(text: str) -> ServiceDistribution:
     """Parse a distribution literal; raises ValueError on anything else."""
-    try:
-        tree = ast.parse(text.strip(), mode="eval")
-        value = _eval_node(tree.body)
-    except (SyntaxError, TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"bad distribution literal {text!r}: {exc}") from exc
+    value = _eval_literal(text, "distribution")
     if not isinstance(value, ServiceDistribution):
         raise ValueError(f"{text!r} is not a distribution literal")
     return value
+
+
+def parse_number(text: str) -> float:
+    """Parse arithmetic on numbers and inf, such as ``1/2``; raises
+    ValueError on anything else."""
+    value = _eval_literal(text, "number")
+    if not isinstance(value, float):
+        raise ValueError(f"{text!r} is not a number literal")
+    return value
+
+
+def _eval_literal(text, what):
+    # arithmetic faults (1/0, 10**400) are bad input like any other
+    try:
+        return _eval_node(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, TypeError, KeyError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"bad {what} literal {text!r}: {exc}") from exc
 
 
 def _eval_node(node):

@@ -195,23 +195,19 @@ class _Sim:
                     acted = True
 
     def _apply(self, dec: Decision, offered, now):
-        if dec.kind == "plan":
-            for group, target in dec.plan:
-                if target == "new":
-                    self._start_new(tuple(sorted(group)), now)
-                else:
-                    self._add_replicas(target, tuple(sorted(group)), now)
-            return
-        if dec.kind == "new":
-            servers = tuple(sorted(dec.servers or (offered,)))
-            if offered not in servers:
-                raise PolicyError(f"new-job decision omits the offered server {offered}")
-            self._start_new(servers, now)
-            return
-        if dec.kind == "rep":
-            self._add_replicas(dec.job_id, dec.servers or (offered,), now)
-            return
-        raise PolicyError(f"unknown decision kind {dec.kind!r}")
+        if dec.kind != "plan":
+            raise PolicyError(f"unknown decision kind {dec.kind!r}")
+        placed = False
+        for group, target in dec.plan:
+            group = tuple(sorted(group))
+            placed = placed or offered in group
+            if target == "new":
+                self._start_new(group, now)
+            else:
+                self._add_replicas(target, group, now)
+        if not placed:
+            # the offered server stays idle and would be offered again forever
+            raise PolicyError(f"plan does not place the offered server {offered}")
 
     def _start_new(self, servers, now):
         job_id = self.started

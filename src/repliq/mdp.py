@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .distributions import _fmt
 from .errors import (
     MultichainError,
     NoConvergenceError,
@@ -574,13 +575,9 @@ def _strongly_connected(adj, nodes=None):
 def state_string(state) -> str:
     jobs, elapsed, cancel, pending = state
     js = "[" + ";".join("[" + ",".join(str(s + 1) for s in job) + "]" for job in jobs) + "]"
-    ts = ",".join(_num(t) for t in elapsed)
-    cs = ",".join(_num(c) for c in cancel)
+    ts = ",".join(_fmt(t) for t in elapsed)
+    cs = ",".join(_fmt(c) for c in cancel)
     return f"jobs={js}|t={ts}|c={cs}|dr={pending}"
-
-
-def _num(x):
-    return str(int(x)) if x == int(x) else repr(x)
 
 
 def policy_rows(kernel: MdpKernel, solution: MdpSolution):

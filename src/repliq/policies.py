@@ -3,8 +3,15 @@
 A policy is asked for a decision whenever a server is assignable and
 either a queued job or a replication candidate exists.  The observation
 carries the offered server, the set of currently assignable servers, a
-view of every in-flight job, and whether a new job is available.  All
-policies are immutable and decide() is a pure function of the observation.
+view of every in-flight job, and whether a new job is available.
+
+Every policy answers in one shape: wait, or a plan of (server group,
+target) pairs that refills assignable servers.  Target "new" starts the
+next queued job on the group; a job id adds replicas of that running job
+on it.  A plan must place the offered server.  NoRep, FullRep, UpfrontRep,
+MaxRate and AdaRep return one-group plans; a solved MDP policy
+(TabularPolicy) may refill several groups at once.  All policies are
+immutable and decide() is a pure function of the observation.
 """
 
 import re
@@ -13,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .analytic import Partition
-from .distributions import min_expectation
+from .distributions import _fmt, min_expectation
 from .errors import InconsistentObservationError, PolicyError
 
 INF = float("inf")
@@ -57,15 +64,13 @@ class Observation(NamedTuple):
 class Decision(NamedTuple):
     """What to do with the offered server.
 
-    kind "new": start the next queued job on every server in ``servers``
-    (which must include the offered one).  kind "rep": add a replica of
-    job ``job_id`` on ``servers``.  kind "plan": apply a complete refill
-    of all assignable servers at once.  kind "wait": leave the server idle.
+    kind "wait": leave it idle.  kind "plan": apply ``plan``, a tuple of
+    (server group, target) pairs.  Target "new" starts the next queued job
+    on every server of the group; a job id adds replicas of that running
+    job on them.  One of the groups must contain the offered server.
     """
 
     kind: str
-    servers: tuple = ()
-    job_id: int = -1
     plan: tuple = ()
 
 
@@ -93,7 +98,7 @@ class NoRep(Policy):
 
     def decide(self, obs):
         if obs.can_new:
-            return Decision("new", servers=(obs.server,))
+            return Decision("plan", (((obs.server,), "new"),))
         return WAIT
 
 
@@ -105,7 +110,7 @@ class FullRep(Policy):
     def decide(self, obs):
         k = len(obs.dists)
         if obs.can_new and len(obs.idle_servers) == k and not obs.jobs:
-            return Decision("new", servers=tuple(range(k)))
+            return Decision("plan", ((tuple(range(k)), "new"),))
         return WAIT
 
 
@@ -122,7 +127,7 @@ class UpfrontRep(Policy):
     def decide(self, obs):
         group = tuple(sorted(self.partition.group_of(obs.server)))
         if obs.can_new and all(s in obs.idle_servers for s in group):
-            return Decision("new", servers=group)
+            return Decision("plan", ((group, "new"),))
         return WAIT
 
 
@@ -143,13 +148,14 @@ class MaxRate(Policy):
         return "" if self.include_cancel_delay else "nodelta"
 
     def decide(self, obs):
+        mine = (obs.server,)
         candidates = []
         if obs.can_new:
-            candidates.append(Decision("new", servers=(obs.server,)))
+            candidates.append(Decision("plan", ((mine, "new"),)))
         elif obs.jobs:
             candidates.append(WAIT)
         for jv in obs.jobs:
-            candidates.append(Decision("rep", servers=(obs.server,), job_id=jv.job_id))
+            candidates.append(Decision("plan", ((mine, jv.job_id),)))
         if not candidates:
             return WAIT
         best = candidates[0]
@@ -194,11 +200,15 @@ class AdaRep(Policy):
 
     def params_str(self):
         if self.homogeneous:
-            return "[" + ",".join(_fmt_time(t) for t in self.homogeneous) + "]"
+            return "[" + ",".join(_fmt(t) for t in self.homogeneous) + "]"
         items = ",".join(
-            f"{o + 1}->{t + 1}:{_fmt_time(v)}" for o, t, v in self.thresholds
+            f"{o + 1}->{t + 1}:{_fmt(v)}" for o, t, v in self.thresholds
         )
         return "{" + items + "}"
+
+    def spec(self):
+        head = "adarep-hom" if self.homogeneous else self.name
+        return f"{head}:{self.params_str()}"
 
     def _threshold(self, jv: JobView, target: int) -> float:
         if self.homogeneous:
@@ -220,9 +230,9 @@ class AdaRep(Policy):
                 if best is None or key < best[0]:
                     best = (key, jv.job_id)
         if best is not None:
-            return Decision("rep", servers=(obs.server,), job_id=best[1])
+            return Decision("plan", (((obs.server,), best[1]),))
         if obs.can_new:
-            return Decision("new", servers=(obs.server,))
+            return Decision("plan", (((obs.server,), "new"),))
         return WAIT
 
 
@@ -249,7 +259,7 @@ class TabularPolicy(Policy):
         plan = self._lookup.get(key)
         if plan is None:
             raise PolicyError(f"no action tabulated for state {key}")
-        by_servers = {jv.servers: jv.job_id for jv in obs.jobs}
+        by_servers = {tuple(sorted(jv.servers)): jv.job_id for jv in obs.jobs}
         resolved = []
         for group, target in plan:
             if target == "new":
@@ -290,18 +300,17 @@ def instantaneous_rate(obs: Observation, action: Decision, include_cancel_delay=
     window unless include_cancel_delay is false.
     """
     delta = obs.delta if include_cancel_delay else 0.0
+    plan = action.plan
     rate = 0.0
     for jv in obs.jobs:
-        extra = (obs.server,) if action.kind == "rep" and action.job_id == jv.job_id else ()
-        rate += 1.0 / _expected_departure(
-            tuple(zip(jv.servers, jv.elapsed)) + tuple((s, 0.0) for s in extra),
-            obs.dists,
-            delta,
-        )
-    if action.kind == "new":
-        rate += 1.0 / _expected_departure(
-            tuple((s, 0.0) for s in action.servers), obs.dists, delta
-        )
+        replicas = tuple(zip(jv.servers, jv.elapsed))
+        for group, target in plan:
+            if target == jv.job_id:
+                replicas += tuple([(s, 0.0) for s in group])
+        rate += 1.0 / _expected_departure(replicas, obs.dists, delta)
+    for group, target in plan:
+        if target == "new":
+            rate += 1.0 / _expected_departure(tuple([(s, 0.0) for s in group]), obs.dists, delta)
     return rate
 
 
@@ -312,14 +321,6 @@ def _expected_departure(replicas, dists, delta):
     if len(replicas) >= 2:
         expected += delta
     return expected
-
-
-def _fmt_time(t):
-    if t == INF:
-        return "inf"
-    if t == int(t):
-        return str(int(t))
-    return repr(t)
 
 
 # ---------------------------------------------------------------------------

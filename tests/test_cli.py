@@ -1,12 +1,14 @@
 import csv
 import io
 import math
+import pathlib
 
 import pytest
 
 from repliq.cli import main
 from repliq.config import parse_config, split_top_level
 from repliq.errors import ConfigError
+from repliq.policies import parse_policy
 
 EXAMPLE1 = """
 servers = det(2), finite([(1,0.9),(20,0.1)])
@@ -67,6 +69,10 @@ class TestConfigParsing:
             "servers = det(2)\nmode = poisson\n",  # poisson without lambdas
             "servers = nosuch(1)\n",
             "servers = det(2)\njobs = 0\n",
+            "servers = det(1/0)\n",
+            "servers = det(10**400)\n",
+            "servers = det(2)\ndelta = 10**400\n",
+            "servers = det(2)\ndelta = 1/0\n",
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -245,6 +251,23 @@ def _run_experiment(tmp_path, command, name):
 
 
 class TestShippedExperiments:
+    @pytest.mark.parametrize(
+        "path",
+        sorted((pathlib.Path(__file__).parent.parent / "experiments").glob("*.cfg")),
+        ids=lambda p: p.name,
+    )
+    def test_every_sweep_point_materializes(self, path):
+        # best-partition and best-r name closed-form optima of the analytic
+        # command, not simulator policies
+        cfg = parse_config(path.read_text())
+        for point in cfg.sweep_points():
+            system = cfg.materialize_system(point)
+            assert system.k == len(cfg.servers_raw)
+            for spec in cfg.policy_specs(point):
+                if spec not in ("best-partition", "best-r"):
+                    policy = parse_policy(spec)
+                    assert parse_policy(policy.spec()).spec() == policy.spec()
+
     def test_example1_analytic_config(self, tmp_path):
         rows = _run_experiment(tmp_path, "analytic", "example1_analytic.cfg")
         ps = sorted({float(r["p"]) for r in rows})

@@ -200,7 +200,7 @@ class _OnlyServerZero(Policy):
 
     def decide(self, obs):
         if obs.server == 0 and obs.can_new:
-            return Decision("new", servers=(0,))
+            return Decision("plan", (((0,), "new"),))
         return WAIT
 
 
@@ -300,21 +300,36 @@ class _BrokenReplicator(Policy):
 
     def decide(self, obs):
         if obs.jobs:
-            return Decision("rep", servers=(obs.server,), job_id=999)
-        return Decision("new", servers=(obs.server,))
+            return Decision("plan", (((obs.server,), 999),))
+        return Decision("plan", (((obs.server,), "new"),))
 
 
 class _BusyGrabber(Policy):
-    # replicates the lowest job onto a server already running another one
+    # replicates the lowest job onto the offered server and onto a server
+    # already running another one
     name = "grabber"
 
     def decide(self, obs):
         others = [jv for jv in obs.jobs if len(jv.servers) == 1]
         if len(others) >= 2:
-            return Decision(
-                "rep", servers=(others[1].servers[0],), job_id=others[0].job_id
-            )
-        return Decision("new", servers=(obs.server,))
+            group = (obs.server, others[1].servers[0])
+            return Decision("plan", ((group, others[0].job_id),))
+        return Decision("plan", (((obs.server,), "new"),))
+
+
+class _EmptyPlanner(Policy):
+    # acts without placing the offered server; gives up after 1000 offers so
+    # that an engine which keeps offering the same server fails instead of hanging
+    name = "empty"
+
+    def __init__(self):
+        self.calls = 0
+
+    def decide(self, obs):
+        self.calls += 1
+        if self.calls > 1000:
+            raise RuntimeError("the engine kept offering an unplaced server")
+        return Decision("plan")
 
 
 class TestPolicyErrors:
@@ -326,3 +341,8 @@ class TestPolicyErrors:
         config = SystemConfig((Exponential(1.0),) * 3, 0.0)
         with pytest.raises(PolicyError):
             run_saturated(config, _BusyGrabber(), 100, seed=0)
+
+    def test_plan_must_place_offered_server(self):
+        config = SystemConfig((Exponential(1.0),) * 2, 0.0)
+        with pytest.raises(PolicyError, match="offered server 0"):
+            run_saturated(config, _EmptyPlanner(), 100, seed=0)

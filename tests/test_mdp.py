@@ -222,6 +222,16 @@ class TestCrossValidation:
         res = run_saturated(SystemConfig((d, d), 1.0), policy, 100_000, seed=3)
         assert abs(res.throughput - solution.throughput) <= 3 * res.throughput_stderr
 
+    def test_three_server_replay(self):
+        # jobs replicated on three servers: the engine keeps a job's servers
+        # in launch order, the table names them sorted
+        ds = (FiniteSupport(((1.0, 0.9), (10.0, 0.1))),) * 3
+        kernel = build_mdp(ds, 1.0)
+        solution = solve_average_cost(kernel)
+        policy = as_tabular_policy(kernel, solution)
+        res = run_saturated(SystemConfig(ds, 1.0), policy, 20_000, seed=3)
+        assert abs(res.throughput - solution.throughput) <= 4 * res.throughput_stderr
+
     def test_policy_rows_cover_all_states(self, example_kernel, example_solution):
         rows = policy_rows(example_kernel, example_solution)
         assert len(rows) == example_kernel.n_states

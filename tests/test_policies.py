@@ -49,7 +49,7 @@ def obs(server, jobs=(), dists=EXAMPLE_DISTS, can_new=True, delta=0.0, idle=None
 class TestNoRepFullRepUpfront:
     def test_norep_always_new_on_offered(self):
         d = decide(NoRep(), obs(0))
-        assert d.kind == "new" and d.servers == (0,)
+        assert d.plan == (((0,), "new"),)
 
     def test_norep_waits_without_queue(self):
         d = decide(NoRep(), obs(0, can_new=False))
@@ -57,7 +57,7 @@ class TestNoRepFullRepUpfront:
 
     def test_fullrep_all_idle(self):
         d = decide(FullRep(), obs(0))
-        assert d.kind == "new" and d.servers == (0, 1)
+        assert d.plan == (((0, 1), "new"),)
 
     def test_fullrep_waits_on_partial_idle(self):
         jv = job(7, 1, (1,), (0.5,))
@@ -70,9 +70,9 @@ class TestNoRepFullRepUpfront:
         jv = job(3, 1, (1,), (0.2,))
         assert decide(policy, obs(0, jobs=(jv,), dists=dists)).kind == "wait"
         d = decide(policy, obs(2, jobs=(jv,), dists=dists))
-        assert d.kind == "new" and d.servers == (2,)
+        assert d.plan == (((2,), "new"),)
         d = decide(policy, obs(0, dists=dists))
-        assert d.kind == "new" and d.servers == (0, 1)
+        assert d.plan == (((0, 1), "new"),)
 
 
 class TestAdaRep:
@@ -81,31 +81,31 @@ class TestAdaRep:
     def test_replicates_beyond_threshold(self):
         jv = job(4, 1, (1,), (2.0,))
         d = decide(self.POLICY, obs(0, jobs=(jv,)))
-        assert d.kind == "rep" and d.job_id == 4
+        assert d.plan == (((0,), 4),)
 
     def test_new_below_threshold(self):
         jv = job(4, 1, (1,), (0.5,))
         d = decide(self.POLICY, obs(0, jobs=(jv,)))
-        assert d.kind == "new" and d.servers == (0,)
+        assert d.plan == (((0,), "new"),)
 
     def test_fires_at_exact_threshold(self):
         jv = job(4, 1, (1,), (1.0,))
-        assert decide(self.POLICY, obs(0, jobs=(jv,))).kind == "rep"
+        assert decide(self.POLICY, obs(0, jobs=(jv,))).plan == (((0,), 4),)
 
     def test_infinite_threshold_never_fires(self):
         jv = job(4, 0, (0,), (100.0,))
         d = decide(self.POLICY, obs(1, jobs=(jv,)))
-        assert d.kind == "new"
+        assert d.plan == (((1,), "new"),)
 
     def test_homogeneous_additional_replica_index(self):
         dists = (Exponential(1.0),) * 5
         policy = AdaRep(homogeneous=(0.1, 0.2, 0.3, 0.4))
         jv = job(1, 0, (0, 1, 2), (0.35, 0.2, 0.1))
         d = decide(policy, obs(3, jobs=(jv,), dists=dists))
-        assert d.kind == "rep" and d.job_id == 1
+        assert d.plan == (((3,), 1),)
         jv = job(1, 0, (0, 1, 2), (0.25, 0.2, 0.1))
         d = decide(policy, obs(3, jobs=(jv,), dists=dists))
-        assert d.kind == "new"
+        assert d.plan == (((3,), "new"),)
 
     def test_tie_prefers_largest_elapsed_then_smallest_id(self):
         dists = (Exponential(1.0),) * 4
@@ -114,7 +114,7 @@ class TestAdaRep:
         b = job(2, 1, (1,), (1.5,))
         c = job(9, 2, (2,), (1.5,))
         d = decide(policy, obs(3, jobs=(a, b, c), dists=dists))
-        assert d.kind == "rep" and d.job_id == 2
+        assert d.plan == (((3,), 2),)
 
     def test_wait_when_nothing_possible(self):
         jv = job(4, 1, (1,), (0.5,))
@@ -138,9 +138,9 @@ class TestMaxRate:
         jv = job(0, 0, (0,), (0.0,))
         o = obs(1, jobs=(jv,))
         d = decide(MaxRate(), o)
-        assert d.kind == "rep" and d.job_id == 0
-        rep_rate = instantaneous_rate(o, Decision("rep", servers=(1,), job_id=0))
-        new_rate = instantaneous_rate(o, Decision("new", servers=(1,)))
+        assert d.plan == (((1,), 0),)
+        rep_rate = instantaneous_rate(o, Decision("plan", (((1,), 0),)))
+        new_rate = instantaneous_rate(o, Decision("plan", (((1,), "new"),)))
         assert rep_rate == pytest.approx(1.0 / 1.1, rel=1e-12)
         assert new_rate == pytest.approx(0.5 + 1.0 / 2.9, rel=1e-12)
 
@@ -150,9 +150,9 @@ class TestMaxRate:
         jv = job(0, 1, (1,), (1.0,))
         o = obs(0, jobs=(jv,))
         d = decide(MaxRate(), o)
-        assert d.kind == "new"
-        rep_rate = instantaneous_rate(o, Decision("rep", servers=(0,), job_id=0))
-        new_rate = instantaneous_rate(o, Decision("new", servers=(0,)))
+        assert d.plan == (((0,), "new"),)
+        rep_rate = instantaneous_rate(o, Decision("plan", (((0,), 0),)))
+        new_rate = instantaneous_rate(o, Decision("plan", (((0,), "new"),)))
         assert rep_rate == pytest.approx(0.5, rel=1e-12)
         assert new_rate == pytest.approx(0.5 + 1.0 / 19.0, rel=1e-12)
 
@@ -160,17 +160,17 @@ class TestMaxRate:
         dists = (Exponential(1.0), Exponential(1.0))
         jv = job(0, 0, (0,), (3.7,))
         o = obs(1, jobs=(jv,), dists=dists)
-        rep_rate = instantaneous_rate(o, Decision("rep", servers=(1,), job_id=0))
-        new_rate = instantaneous_rate(o, Decision("new", servers=(1,)))
+        rep_rate = instantaneous_rate(o, Decision("plan", (((1,), 0),)))
+        new_rate = instantaneous_rate(o, Decision("plan", (((1,), "new"),)))
         assert rep_rate == pytest.approx(2.0, rel=1e-12)
         assert new_rate == pytest.approx(2.0, rel=1e-12)
-        assert decide(MaxRate(), o).kind == "new"
+        assert decide(MaxRate(), o).plan == (((1,), "new"),)
 
     def test_cancel_delay_switch(self):
         jv = job(0, 0, (0,), (0.0,))
         o = obs(1, jobs=(jv,), delta=0.5)
-        with_delta = instantaneous_rate(o, Decision("rep", servers=(1,), job_id=0), True)
-        without = instantaneous_rate(o, Decision("rep", servers=(1,), job_id=0), False)
+        with_delta = instantaneous_rate(o, Decision("plan", (((1,), 0),)), True)
+        without = instantaneous_rate(o, Decision("plan", (((1,), 0),)), False)
         assert with_delta == pytest.approx(1.0 / 1.6, rel=1e-12)
         assert without == pytest.approx(1.0 / 1.1, rel=1e-12)
 
@@ -178,20 +178,20 @@ class TestMaxRate:
         jv = job(0, 1, (1,), (0.0,))
         o = obs(0, jobs=(jv,), can_new=False)
         d = decide(MaxRate(), o)
-        assert d.kind == "rep"
+        assert d.plan == (((0,), 0),)
 
     def test_empty_queue_replicates_stragglers_for_free(self):
         # with no queued job and no cancellation cost, an extra replica can
         # only raise the departure rate, even for an identified straggler
         jv = job(0, 1, (1,), (1.0,))
         o = obs(0, jobs=(jv,), can_new=False)
-        assert decide(MaxRate(), o).kind == "rep"
+        assert decide(MaxRate(), o).plan == (((0,), 0),)
 
     def test_empty_queue_waits_when_cancel_window_dominates(self):
         jv = job(0, 1, (1,), (19.5,))  # residual mass at 0.5
         o = obs(0, jobs=(jv,), can_new=False, delta=3.0)
         wait_rate = instantaneous_rate(o, Decision("wait"))
-        rep_rate = instantaneous_rate(o, Decision("rep", servers=(0,), job_id=0))
+        rep_rate = instantaneous_rate(o, Decision("plan", (((0,), 0),)))
         assert wait_rate > rep_rate
         assert decide(MaxRate(), o).kind == "wait"
 
@@ -250,6 +250,20 @@ class TestParsing:
     def test_adarep_hom_values(self):
         policy = parse_policy("adarep-hom:[0.1,0.2,inf]")
         assert policy.homogeneous == (0.1, 0.2, INF)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "adarep:{1->2:inf,2->1:0.25}",
+            "adarep-hom:[0.5,1,2.5]",
+            "upfront:[[1,2],[3]]",
+            "maxrate:nodelta",
+        ],
+    )
+    def test_spec_round_trip(self, text):
+        policy = parse_policy(text)
+        assert policy.spec() == text
+        assert parse_policy(policy.spec()).spec() == policy.spec()
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
