@@ -59,8 +59,8 @@ def _build_parser():
         p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", default="", help="CSV output path (default stdout)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
+        p.add_argument("--jobs", type=_count, default=None)
+        p.add_argument("--runs", type=_count, default=None)
         p.add_argument("--paths", type=int, default=None)
         p.add_argument("--gnuplot", default="", help="also emit a gnuplot script")
         if name == "simulate":
@@ -72,6 +72,13 @@ def _build_parser():
             p.add_argument("--horizon", type=float, default=100.0)
         p.set_defaults(handler=handler)
     return parser
+
+
+def _count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_config(args) -> ExperimentConfig:

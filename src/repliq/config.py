@@ -135,8 +135,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 setattr(cfg, key, int(values[key]))
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer: {exc}") from exc
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    for key in ("jobs", "runs"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if "sweep" in values:
         name, _, vals = values["sweep"].partition(":")
         if not vals:

@@ -97,8 +97,8 @@ class Deterministic(ServiceDistribution):
     value: float
 
     def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError(f"deterministic value must be >= 0, got {self.value}")
+        if not 0 <= self.value < INF:
+            raise ValueError(f"deterministic value must be finite and >= 0, got {self.value}")
 
     def mean(self):
         return self.value

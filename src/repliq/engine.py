@@ -12,11 +12,17 @@ draws server ``s``'s service times and the last child draws the Poisson
 inter-arrival gaps, each in blocks of ``_BLOCK`` values.  A server's n-th
 service time is therefore the same under every policy run with that seed
 (common random numbers).
+
+``run_poisson`` splits its independent runs over worker processes forked
+from the caller, one per CPU in the process's affinity set; each run keeps
+its own seed, so the result does not depend on the split.
 """
 
 import hashlib
 import heapq
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,6 +40,8 @@ _WARMUP_FRACTION = 0.01
 _N_BATCHES = 20
 _UNSTABLE_QUEUE_FACTOR = 10.0
 _BLOCK = 256
+# run_poisson's worker count; None means one per CPU in the affinity set
+_WORKERS = None
 
 
 @dataclass(frozen=True)
@@ -47,8 +55,8 @@ class SystemConfig:
         object.__setattr__(self, "servers", tuple(self.servers))
         if not self.servers:
             raise ValueError("need at least one server")
-        if self.delta < 0:
-            raise ValueError(f"cancellation delay must be >= 0, got {self.delta}")
+        if not 0 <= self.delta < INF:
+            raise ValueError(f"cancellation delay must be finite and >= 0, got {self.delta}")
 
     @property
     def k(self) -> int:
@@ -313,6 +321,11 @@ class _Sim:
                 else:
                     self._arrive(t, n_jobs)
             self._scan(t)
+        # nothing runs, cancels or arrives, so nothing will happen again
+        raise PolicyError(
+            f"the policy left every server idle with jobs waiting, after "
+            f"{len(self.dep_times)} of {n_jobs} departures"
+        )
 
 
 def run_saturated(config: SystemConfig, policy: Policy, n_jobs: int, seed: int) -> RunResult:
@@ -390,20 +403,15 @@ def run_poisson(
     The unstable flag fires when the backlog at the end of arrivals dwarfs
     the jobs served, or when the backlog keeps growing between the middle
     and the end of the arrival stream (the signature of lam at or above
-    the policy's capacity).
+    the policy's capacity).  The runs are split over forked workers (see
+    _poisson_rows); the result is the same for every split.
     """
     if lam <= 0:
         raise ValueError(f"need lam > 0, got {lam}")
-    run_means, growths, q_ends, serveds = [], [], [], []
-    throughputs = []
-    for i in range(n_runs):
-        sim = _Sim(config, policy, [seed, i], lam)
-        sim.run(n_jobs)
-        run_means.append(math.fsum(sim.dep_resp) / len(sim.dep_resp))
-        growths.append(sim.q_end - sim.q_mid)
-        q_ends.append(sim.q_end)
-        serveds.append(max(1, sim.served_at_horizon))
-        throughputs.append(len(sim.dep_times) / sim.dep_times[-1])
+    if n_runs < 1:
+        raise ValueError(f"need n_runs >= 1, got {n_runs}")
+    rows = _poisson_rows(config, policy, lam, n_jobs, n_runs, seed)
+    run_means, growths, q_ends, serveds, throughputs = zip(*rows)
     mean_resp = float(np.mean(run_means))
     resp_err = (
         float(np.std(run_means, ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
@@ -433,6 +441,95 @@ def run_poisson(
         config_digest=config.digest(),
         queue_growth=growth,
     )
+
+
+def _poisson_run(config, policy, lam, n_jobs, seed, i):
+    """Run i of run_poisson: (mean response, queue growth, backlog at the
+    end of arrivals, departures by then but at least 1, throughput)."""
+    sim = _Sim(config, policy, [seed, i], lam)
+    sim.run(n_jobs)
+    return (
+        math.fsum(sim.dep_resp) / len(sim.dep_resp),
+        sim.q_end - sim.q_mid,
+        sim.q_end,
+        max(1, sim.served_at_horizon),
+        len(sim.dep_times) / sim.dep_times[-1],
+    )
+
+
+def _poisson_rows(config, policy, lam, n_jobs, n_runs, seed):
+    """_poisson_run's rows for runs 0..n_runs-1, in run order.
+
+    The runs are cut into contiguous chunks, one per worker.  The caller
+    runs the first chunk and a forked child each other one; children
+    inherit the config and the policy, and send back only their rows or
+    the exception that stopped them.  No child outlives the call.
+    """
+    run = partial(_poisson_run, config, policy, lam, n_jobs, seed)
+    workers = min(n_runs, _WORKERS or _cpu_count())
+    ctx = _fork_context() if workers > 1 else None
+    if ctx is None:
+        return [run(i) for i in range(n_runs)]
+    cuts = [n_runs * w // workers for w in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_chunk, args=(send, run, range(lo, hi)), daemon=True)
+            child.start()
+            send.close()
+            children.append((child, recv))
+        rows = [run(i) for i in range(cuts[1])]
+        for child, recv in children:
+            try:
+                ok, payload = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"run_poisson worker died with exit code {child.exitcode}"
+                ) from None
+            if not ok:
+                raise payload
+            rows.extend(payload)
+    finally:
+        for child, recv in children:
+            child.terminate()  # a no-op for a child that has exited
+            child.join()
+            recv.close()
+    return rows
+
+
+def _run_chunk(conn, run, runs):
+    try:
+        conn.send((True, [run(i) for i in runs]))
+    except Exception as exc:
+        try:
+            conn.send((False, exc))
+        except Exception:  # the exception itself does not pickle
+            conn.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    conn.close()
+
+
+def _cpu_count():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where this process should not
+    fork: the start method is missing, the process is daemonic (a Pool
+    worker, which multiprocessing forbids to have children), or other
+    threads run (a fork copies their locks in whatever state they are)."""
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return None
+    return multiprocessing.get_context("fork")
 
 
 def event_trace(

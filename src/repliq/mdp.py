@@ -474,24 +474,6 @@ def _solve_with_departure_gaps(k, flat, tol, max_iters):
     raise NoConvergenceError("bisection on the departure charge did not close")
 
 
-def _evaluate(kernel, choices, ref=0):
-    n = kernel.n_states
-    a = np.zeros((n + 1, n + 1))
-    b = np.zeros(n + 1)
-    for s in range(n):
-        _, trans = kernel.actions[s][choices[s]]
-        a[s, s] += 1.0
-        for j, p, c, d in trans:
-            a[s, j] -= p
-            a[s, n] += p * d
-            b[s] += p * c
-    a[n, ref] = 1.0
-    sol, residual, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < n + 1:
-        raise MultichainError("policy evaluation system is singular")
-    return sol[n], sol[:n]
-
-
 def _verify_unichain(kernel, choices, start=0):
     """One recurrent class among the states the solved policy can visit."""
     n = kernel.n_states

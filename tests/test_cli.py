@@ -69,10 +69,15 @@ class TestConfigParsing:
             "servers = det(2)\nmode = poisson\n",  # poisson without lambdas
             "servers = nosuch(1)\n",
             "servers = det(2)\njobs = 0\n",
+            "servers = det(2)\nruns = 0\n",
             "servers = det(1/0)\n",
             "servers = det(10**400)\n",
             "servers = det(2)\ndelta = 10**400\n",
             "servers = det(2)\ndelta = 1/0\n",
+            "servers = det(inf)\n",
+            "servers = det(1e308*10)\n",  # overflows to inf without an error
+            "servers = det(2)\ndelta = inf\n",
+            "servers = det(2)\ndelta = inf-inf\n",  # nan
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -207,6 +212,12 @@ class TestBoundCommand:
         text = "servers = det(2), det(2), det(2)\nbound = pause\n"
         code, _, _ = run_cli(tmp_path, ["bound"], text)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--runs"])
+    def test_count_override_below_one_exits_two(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, ["simulate", flag, "0"], EXAMPLE1)
+        assert exc.value.code == 2
 
 
 class TestMdpCommand:

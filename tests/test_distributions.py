@@ -348,8 +348,9 @@ class TestValidation:
             Shifted(-0.1, Exponential(1.0))
         with pytest.raises(ValueError):
             HyperExp(0.5, 0.1, 1.2)
-        with pytest.raises(ValueError):
-            Deterministic(-2.0)
+        for bad in (-2.0, INF, float("nan")):
+            with pytest.raises(ValueError):
+                Deterministic(bad)
 
 
 class TestParsing:

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repliq.distributions import (
     HyperExp,
     Shifted,
 )
+from repliq import engine
 from repliq.engine import (
     SystemConfig,
     event_trace,
@@ -346,3 +350,158 @@ class TestPolicyErrors:
         config = SystemConfig((Exponential(1.0),) * 2, 0.0)
         with pytest.raises(PolicyError, match="offered server 0"):
             run_saturated(config, _EmptyPlanner(), 100, seed=0)
+
+
+class _Waiter(Policy):
+    name = "waiter"
+
+    def decide(self, obs):
+        return WAIT
+
+
+class TestStalledRuns:
+    def test_saturated_run_of_a_waiting_policy(self):
+        with pytest.raises(PolicyError, match="idle with jobs waiting"):
+            run_saturated(EXAMPLE, _Waiter(), 100, seed=0)
+
+    def test_poisson_run_of_a_waiting_policy(self, monkeypatch):
+        monkeypatch.setattr(engine, "_WORKERS", 1)
+        with pytest.raises(PolicyError, match="after 0 of 50 departures"):
+            run_poisson(EXAMPLE, _Waiter(), 0.5, n_jobs=50, n_runs=2, seed=0)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("delta", [-0.5, INF, float("nan")])
+    def test_rejects_bad_delay(self, delta):
+        with pytest.raises(ValueError, match="cancellation delay"):
+            SystemConfig(EXAMPLE.servers, delta)
+
+
+class TestParallelRuns:
+    """run_poisson splits its runs over forked workers; the private
+    _WORKERS constant overrides the CPU count so that every split runs
+    on any host."""
+
+    POLICIES = {
+        "norep": NoRep(),
+        "fullrep": FullRep(),
+        "maxrate": MaxRate(),
+        "adarep": ADAREP_EXAMPLE,
+    }
+
+    @staticmethod
+    def _results(monkeypatch, config, policy, n_runs):
+        out = []
+        for w in (1, 2, 3):
+            monkeypatch.setattr(engine, "_WORKERS", w)
+            out.append(run_poisson(config, policy, 0.6, n_jobs=60, n_runs=n_runs, seed=11))
+        return out
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_same_result_for_every_split(self, monkeypatch, name, delta):
+        config = SystemConfig(EXAMPLE.servers, delta)
+        for n_runs in (1, 2, 5):
+            serial, *split = self._results(monkeypatch, config, self.POLICIES[name], n_runs)
+            assert serial.n_runs == n_runs
+            assert all(res == serial for res in split)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_locally_defined_policy(self, monkeypatch, delta):
+        class CopyOnIdle(Policy):
+            # a new job if one waits, else a copy of the oldest lone job
+            name = "copy-on-idle"
+
+            def decide(self, obs):
+                if obs.can_new:
+                    return Decision("plan", (((obs.server,), "new"),))
+                alone = [jv for jv in obs.jobs if len(jv.servers) == 1]
+                if alone:
+                    return Decision("plan", (((obs.server,), alone[0].job_id),))
+                return WAIT
+
+        config = SystemConfig(EXAMPLE.servers, delta)
+        for n_runs in (1, 2, 5):
+            serial, *split = self._results(monkeypatch, config, CopyOnIdle(), n_runs)
+            assert all(res == serial for res in split)
+
+    def test_failure_in_a_child_reaches_the_caller(self, monkeypatch):
+        # runs 3..5 stall: with two workers they are the child's share
+        run, caller = engine._poisson_run, os.getpid()
+
+        def stall_late_runs(config, policy, lam, n_jobs, seed, i):
+            if i >= 3:
+                assert os.getpid() != caller, f"run {i} ran in the caller"
+                policy = _Waiter()
+            return run(config, policy, lam, n_jobs, seed, i)
+
+        monkeypatch.setattr(engine, "_poisson_run", stall_late_runs)
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        with pytest.raises(PolicyError, match="idle with jobs waiting"):
+            run_poisson(EXAMPLE, NoRep(), 0.5, n_jobs=50, n_runs=6, seed=1)
+        assert multiprocessing.active_children() == []
+
+    def test_failure_in_the_callers_share_reaps_the_children(self, monkeypatch):
+        run = engine._poisson_run
+
+        def fail_first_run(config, policy, lam, n_jobs, seed, i):
+            if i == 0:
+                raise PolicyError("run 0 failed")
+            return run(config, policy, lam, n_jobs, seed, i)
+
+        monkeypatch.setattr(engine, "_poisson_run", fail_first_run)
+        monkeypatch.setattr(engine, "_WORKERS", 3)
+        with pytest.raises(PolicyError, match="run 0 failed"):
+            run_poisson(EXAMPLE, NoRep(), 0.5, n_jobs=2000, n_runs=6, seed=1)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_exception_keeps_its_type_name_and_message(self, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        caller = os.getpid()
+
+        class FailsInChild(NoRep):
+            def decide(self, obs):
+                if os.getpid() != caller:
+                    raise LocalError("decided in a child")
+                return super().decide(obs)
+
+        # a class local to a function cannot be pickled by reference
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match="LocalError: decided in a child"):
+            run_poisson(EXAMPLE, FailsInChild(), 0.5, n_jobs=50, n_runs=2, seed=1)
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_a_passing_call(self, monkeypatch):
+        monkeypatch.setattr(engine, "_WORKERS", 3)
+        run_poisson(EXAMPLE, NoRep(), 0.5, n_jobs=50, n_runs=6, seed=1)
+        assert multiprocessing.active_children() == []
+
+    def test_call_beside_another_thread_stays_in_the_caller(self, monkeypatch):
+        run, caller = engine._poisson_run, os.getpid()
+
+        def in_caller(*args):
+            assert os.getpid() == caller, "a run was forked beside a running thread"
+            return run(*args)
+
+        monkeypatch.setattr(engine, "_poisson_run", in_caller)
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run_poisson(EXAMPLE, NoRep(), 0.5, n_jobs=50, n_runs=4, seed=1)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_call_from_a_daemonic_pool_worker_runs_serially(self, monkeypatch):
+        args = (EXAMPLE, FullRep(), 0.6, 60, 4, 3)
+        monkeypatch.setattr(engine, "_WORKERS", 1)
+        serial = run_poisson(*args)
+        # the worker inherits _WORKERS = 2 but may not fork children
+        monkeypatch.setattr(engine, "_WORKERS", 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(run_poisson, args).get(timeout=60) == serial

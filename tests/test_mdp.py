@@ -19,7 +19,6 @@ from repliq.mdp import (
     build_mdp,
     policy_rows,
     solve_average_cost,
-    _evaluate,
     _flatten,
     _rvi_per_step,
     _verify_unichain,
@@ -152,6 +151,26 @@ class TestSolver:
         assert example_solution.gain <= min(norep, fullrep) + 1e-9
 
 
+def _evaluate_gain(kernel, choices):
+    """Average cost per departure of a fixed policy, from the dense
+    (n+1)x(n+1) evaluation equations h + g*d = c + P h with h[0] = 0."""
+    n = kernel.n_states
+    a = np.zeros((n + 1, n + 1))
+    b = np.zeros(n + 1)
+    for s in range(n):
+        _, trans = kernel.actions[s][choices[s]]
+        a[s, s] += 1.0
+        for j, p, c, d in trans:
+            a[s, j] -= p
+            a[s, n] += p * d
+            b[s] += p * c
+    a[n, 0] = 1.0
+    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < n + 1:
+        raise MultichainError("policy evaluation system is singular")
+    return sol[n]
+
+
 def _action_index(kernel, s, label):
     for i, (lab, _) in enumerate(kernel.actions[s]):
         if lab == label:
@@ -176,8 +195,7 @@ def _threshold_policy_gain(kernel, tau):
                 choices.append(_action_index(kernel, s, f"rep[{idle + 1}]->[2]"))
             else:
                 choices.append(_action_index(kernel, s, f"new[{idle + 1}]"))
-    gain, _ = _evaluate(kernel, choices)
-    return gain
+    return _evaluate_gain(kernel, choices)
 
 
 def _fixed_label_gain(kernel, prefer):
@@ -195,8 +213,7 @@ def _fixed_label_gain(kernel, prefer):
                 choices.append(0)
             else:
                 choices.append(_action_index(kernel, s, sorted(new_labels)[0]))
-    gain, _ = _evaluate(kernel, choices)
-    return gain
+    return _evaluate_gain(kernel, choices)
 
 
 class TestCrossValidation:
