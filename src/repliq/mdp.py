@@ -9,6 +9,13 @@ complete refill plans for the assignable servers (each group of freed
 servers starts a fresh job or joins an existing one).  The cost of a
 transition is K times the time it spans, so minimizing average cost per
 departure maximizes throughput: rate = K / gain.
+
+Relabelling servers that share a law maps states onto states with equal
+transition laws, so the chain is lumpable (Kemeny & Snell, Finite Markov
+Chains, 1960): the kernel holds one canonical state per orbit
+(policies.canonical_state) and has the optimal gain of the full chain.
+Four servers finite([(1,0.8),(8,0.2)]) give 501 canonical states instead
+of 8124.  A mix with no two equal laws keeps every state as it is.
 """
 
 import itertools
@@ -25,7 +32,7 @@ from .errors import (
     NonLatticeDeltaError,
     StateExplosionError,
 )
-from .policies import TabularPolicy
+from .policies import TabularPolicy, canonical_state, law_classes
 
 INF = float("inf")
 
@@ -37,10 +44,10 @@ STATE_CAP = 1_000_000
 @dataclass
 class MdpKernel:
     states: list
-    index: dict
     actions: list
     k: int
     delta: float
+    classes: tuple = None  # law classes of the servers; None when all laws differ
 
     @property
     def n_states(self):
@@ -63,7 +70,12 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
 
     Requires every service law to be atomic; the cancellation delay must
     sit on the lattice spanned by the atom values so elapsed times stay on
-    a finite grid.  Equal labels, floats and transitions share one object.
+    a finite grid.  When two servers share a law, every state is interned
+    in canonical form and each outcome of a step is canonicalised before
+    outcomes are grouped, so the probabilities of outcomes in one orbit
+    add up in one transition; actions are enumerated from canonical states.
+    state_cap counts canonical states.  Equal labels, floats and
+    transitions share one object.
     """
     ds = tuple(ds)
     atom_lists = []
@@ -76,12 +88,14 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
         atom_lists.append(atoms)
     _check_delta_lattice(atom_lists, delta)
     k = len(ds)
+    classes = law_classes(ds)
     states = []
     index = {}
     actions = []
     # one pool per type, because 1 == 1.0 == True hash alike
     labels, floats, transitions = {}, {}, {}
     residuals = {}
+    canonicals = {}
 
     def residual(s, t):
         """Atoms of server s's law after t elapsed, values on the state grid."""
@@ -104,6 +118,14 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
             states.append(state)
         return idx
 
+    def canonical(state):
+        """Representative of state's orbit under relabelling equal-law servers."""
+        canon = canonicals.get(state)
+        if canon is None:
+            key, _ = canonical_state(state[:3], classes)
+            canon = canonicals[state] = key + state[3:]
+        return canon
+
     def transition(idx, p, c, departs):
         tr = (idx, floats.setdefault(p, p), floats.setdefault(c, c), departs)
         return transitions.setdefault(tr, tr)
@@ -122,6 +144,8 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
                 continue
             groups = {}
             for combo_state, prob, cost, departs in _step(residual, occupancy, delta, k):
+                if classes is not None:
+                    combo_state = canonical(combo_state)
                 key = (combo_state, departs)
                 agg = groups.setdefault(key, [0.0, 0.0])
                 agg[0] += prob
@@ -133,7 +157,7 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
             acts.append((label, trans))
         actions.append(acts)
         frontier += 1
-    return MdpKernel(states=states, index=index, actions=actions, k=k, delta=delta)
+    return MdpKernel(states=states, actions=actions, k=k, delta=delta, classes=classes)
 
 
 def _check_delta_lattice(atom_lists, delta):
@@ -583,7 +607,7 @@ def as_tabular_policy(kernel: MdpKernel, solution: MdpSolution) -> TabularPolicy
             continue
         plan = _plan_from_label(label)
         table.append(((jobs, elapsed, cancel), plan))
-    return TabularPolicy(table=tuple(table))
+    return TabularPolicy(table=tuple(table), classes=kernel.classes)
 
 
 def _plan_from_label(label):

@@ -242,38 +242,66 @@ class TabularPolicy(Policy):
 
     State keys are (job server-sets, per-server elapsed, per-server
     cancelling remaining); plans list (server group, "new" | job server-set)
-    pairs covering every assignable server.
+    pairs covering every assignable server.  With law classes (see
+    law_classes) the table holds canonical states only: an observed state
+    outside it takes the plan of its canonical form, mapped back to the
+    observed server labels and remembered under the observed key.
     """
 
     table: tuple
+    classes: tuple = None
     name = "tabular"
 
     def __post_init__(self):
         object.__setattr__(self, "_lookup", dict(self.table))
 
     def params_str(self):
-        return f"{len(self._lookup)}states"
+        return f"{len(self.table)}states"
 
     def decide(self, obs):
         key = observation_state_key(obs)
         plan = self._lookup.get(key)
         if plan is None:
-            raise PolicyError(f"no action tabulated for state {key}")
-        by_servers = {tuple(sorted(jv.servers)): jv.job_id for jv in obs.jobs}
+            plan = self._relabelled_plan(key)
+        by_servers = None
         resolved = []
         for group, target in plan:
             if target == "new":
                 resolved.append((tuple(group), "new"))
-            else:
-                job_id = by_servers.get(tuple(sorted(target)))
-                if job_id is None:
-                    raise PolicyError(f"plan references missing job on servers {target}")
-                resolved.append((tuple(group), job_id))
+                continue
+            if by_servers is None:
+                by_servers = {tuple(sorted(jv.servers)): jv.job_id for jv in obs.jobs}
+            job_id = by_servers.get(tuple(sorted(target)))
+            if job_id is None:
+                raise PolicyError(f"plan references missing job on servers {target}")
+            resolved.append((tuple(group), job_id))
         return Decision("plan", plan=tuple(resolved))
+
+    def _relabelled_plan(self, key):
+        """The plan of key's canonical form in key's server labels, kept
+        under key for the next visit."""
+        plan = None
+        if self.classes is not None:
+            canon, perm = canonical_state(key, self.classes)
+            plan = self._lookup.get(canon)
+        if plan is None:
+            raise PolicyError(f"no action tabulated for state {key}")
+        label = [0] * len(perm)  # canonical label -> observed server
+        for s, slot in enumerate(perm):
+            label[slot] = s
+        plan = tuple(
+            (
+                tuple([label[s] for s in group]),
+                target if target == "new" else tuple(sorted([label[s] for s in target])),
+            )
+            for group, target in plan
+        )
+        self._lookup[key] = plan
+        return plan
 
 
 def observation_state_key(obs: Observation):
-    """Canonical (jobs, elapsed, cancelling) key matching the decision process."""
+    """(jobs, elapsed, cancelling) key matching the decision process's states."""
     k = len(obs.dists)
     elapsed = [0.0] * k
     for jv in obs.jobs:
@@ -284,6 +312,49 @@ def observation_state_key(obs: Observation):
         cancel[s] = round(rem, 9)
     jobs = tuple(sorted(tuple(sorted(jv.servers)) for jv in obs.jobs))
     return (jobs, tuple(elapsed), tuple(cancel))
+
+
+def law_classes(dists):
+    """Per server, the lowest index of a server with an equal law.
+
+    None when no two laws are equal: then every state is its own canonical
+    form and nothing needs relabelling.
+    """
+    classes = tuple(dists.index(d) for d in dists)
+    return None if len(set(classes)) == len(classes) else classes
+
+
+def canonical_state(key, classes):
+    """Representative of a (jobs, elapsed, cancelling) key under the
+    permutations of servers that share a law class.
+
+    Jobs are ranked by the sorted (class, elapsed) pairs of their copies,
+    largest first; within each class, servers ordered by (job rank,
+    -elapsed, -cancelling), idle servers last, take the class's labels in
+    ascending order.  Servers that tie are interchangeable, so every
+    relabelling of a state gives the same representative.  Returns
+    (canonical key, perm), where perm[s] is the canonical label of server s.
+    """
+    jobs, elapsed, cancel = key
+    k = len(classes)
+    rank = [len(jobs)] * k
+    signed = sorted(
+        ((sorted([(classes[s], elapsed[s]) for s in job]), job) for job in jobs), reverse=True
+    )
+    for r, (_, job) in enumerate(signed):
+        for s in job:
+            rank[s] = r
+    order = sorted(range(k), key=lambda s: (classes[s], rank[s], -elapsed[s], -cancel[s]))
+    perm = [0] * k
+    for s, slot in zip(order, sorted(range(k), key=classes.__getitem__)):
+        perm[s] = slot
+    new_elapsed = [0.0] * k
+    new_cancel = [0.0] * k
+    for s in range(k):
+        new_elapsed[perm[s]] = elapsed[s]
+        new_cancel[perm[s]] = cancel[s]
+    new_jobs = tuple(sorted(tuple(sorted([perm[s] for s in job])) for job in jobs))
+    return (new_jobs, tuple(new_elapsed), tuple(new_cancel)), perm
 
 
 def decide(policy: Policy, obs: Observation) -> Decision:

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from repliq import policies
 from repliq.bounds import optimize_pause_bound
 from repliq.distributions import Deterministic, Exponential, FiniteSupport
 from repliq.engine import SystemConfig, run_saturated
@@ -23,12 +25,15 @@ from repliq.mdp import (
     _rvi_per_step,
     _verify_unichain,
 )
+from repliq.policies import canonical_state, law_classes
 
 INF = float("inf")
 
 EXAMPLE_DISTS = (Deterministic(2.0), FiniteSupport(((1.0, 0.9), (20.0, 0.1))))
 LATTICE_DISTS = (Deterministic(0.3), FiniteSupport(((0.1, 0.7), (1.7, 0.3))))
 THREE_TWO_ATOM = (FiniteSupport(((1.0, 0.9), (4.0, 0.1))),) * 3
+LAW_A = FiniteSupport(((1.0, 0.9), (10.0, 0.1)))
+LAW_B = FiniteSupport(((1.0, 0.8), (8.0, 0.2)))
 ADAREP_RENEWAL_RATE = 2.9 / 2.38  # three renewal interval types, two servers
 
 
@@ -249,6 +254,29 @@ class TestCrossValidation:
         res = run_saturated(SystemConfig(ds, 1.0), policy, 20_000, seed=3)
         assert abs(res.throughput - solution.throughput) <= 4 * res.throughput_stderr
 
+    def test_replay_of_non_adjacent_equal_laws(self):
+        # servers 1 and 3 share a law: the table is keyed by canonical states
+        # and its plans are mapped back to the observed labels
+        ds = (LAW_A, Deterministic(2.0), LAW_A)
+        kernel = build_mdp(ds, 0.0)
+        assert kernel.classes == (0, 1, 0)
+        solution = solve_average_cost(kernel)
+        policy = as_tabular_policy(kernel, solution)
+        res = run_saturated(SystemConfig(ds, 0.0), policy, 20_000, seed=5)
+        assert abs(res.throughput - solution.throughput) <= 4 * res.throughput_stderr
+
+    def test_heterogeneous_table_never_canonicalises(
+        self, example_kernel, example_solution, monkeypatch
+    ):
+        def fail(key, classes):
+            raise AssertionError("canonicaliser called for distinct laws")
+
+        monkeypatch.setattr(policies, "canonical_state", fail)
+        policy = as_tabular_policy(example_kernel, example_solution)
+        assert example_kernel.classes is None and policy.classes is None
+        res = run_saturated(SystemConfig(EXAMPLE_DISTS, 0.0), policy, 5_000, seed=17)
+        assert res.throughput > 0
+
     def test_policy_rows_cover_all_states(self, example_kernel, example_solution):
         rows = policy_rows(example_kernel, example_solution)
         assert len(rows) == example_kernel.n_states
@@ -284,19 +312,20 @@ PINNED = {
         gain=0.3528526642190969,
         choices=[1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     ),
+    # identical servers: the kernel holds one canonical state per orbit
+    # (81 states before lumping); the solution pins are the unlumped kernel's
     "three_two_atom": dict(
         ds=THREE_TWO_ATOM,
         delta=1.0,
-        states=81,
-        transitions=385,
-        states_sha="155adbdbae301db511f965d3828de62cce56d195ae0d0c58484b96c45443c34d",
-        actions_sha="ed445865f4d0472b74b776546f0b3ff4e1ab7629adc99b6e489fc6b8b6cd3f02",
+        states=23,
+        transitions=108,
+        states_sha="533d6b8fc7039027c4a784055822e388bced5d4160db19d13c3259b8a78a8278",
+        actions_sha="f5a9195a29636325c07e836da555578ef771d3f05df7e3d4f7be536b210169a2",
         method="bisection-rvi",
         iterations=2820,
         throughput=2.3076923063697192,
         gain=1.300000000745058,
-        choices=[4, 0, 1, 1, 0, 1, 1, 0, 1, 1] + [0] * 14 + [1, 0, 0, 1] + [0] * 8
-        + [1] + [0] * 8 + [1, 1, 1] + [0] * 33,
+        choices=[4, 0, 1, 1] + [0] * 9 + [1, 0, 1] + [0] * 7,
     ),
 }
 
@@ -385,7 +414,6 @@ class TestArraySolver:
         cheaper = math.nextafter(1.0, 0.0)
         kernel = MdpKernel(
             states=["s"],
-            index={"s": 0},
             actions=[[("a", ((0, 1.0, 1.0, 1),)), ("b", ((0, 1.0, cheaper, 1),))]],
             k=1,
             delta=0.0,
@@ -409,10 +437,98 @@ class TestArraySolver:
         stay = [(("stay", ((s, 1.0, 1.0, 1),)),) for s in (1, 2)]
         kernel = MdpKernel(
             states=["start", "left", "right"],
-            index={"start": 0, "left": 1, "right": 2},
             actions=[split, *stay],
             k=1,
             delta=0.0,
         )
         with pytest.raises(MultichainError):
             _verify_unichain(kernel, [0, 0, 0])
+
+
+def _relabel(key, perm):
+    """The key with server s renamed perm[s]."""
+    jobs, elapsed, cancel = key
+    new_elapsed = [0.0] * len(perm)
+    new_cancel = [0.0] * len(perm)
+    for s, t in enumerate(perm):
+        new_elapsed[t] = elapsed[s]
+        new_cancel[t] = cancel[s]
+    new_jobs = tuple(sorted(tuple(sorted(perm[s] for s in job)) for job in jobs))
+    return new_jobs, tuple(new_elapsed), tuple(new_cancel)
+
+
+def _law_respecting(classes):
+    k = len(classes)
+    for perm in itertools.permutations(range(k)):
+        if all(classes[perm[s]] == classes[s] for s in range(k)):
+            yield perm
+
+
+class TestLumping:
+    # Throughputs K/g of the unlumped kernels, recorded before states were
+    # lumped; the lumped kernels must reach the same optimum.
+    @pytest.mark.parametrize(
+        "ds, delta, states, throughput",
+        [
+            ((LAW_A,) * 3, 1.0, 113, 1.9881907341983693),
+            ((LAW_B,) * 4, 0.0, 501, 2.3889445294466234),
+            ((LAW_B,) * 4, 1.0, 520, 1.880585832789883),
+            ((LAW_A, LAW_A, Deterministic(2.0)), 0.0, 131, 2.0606000622462695),
+            ((LAW_A, LAW_A, Deterministic(2.0)), 1.0, 135, 1.8374288442026696),
+            # only servers 1 and 3 are lumped; the optimum is that of (A, A, det(2))
+            ((LAW_A, Deterministic(2.0), LAW_A), 0.0, 131, 2.0606000622462695),
+        ],
+        ids=["k3-d1", "k4-d0", "k4-d1", "AAD-d0", "AAD-d1", "ADA-d0"],
+    )
+    def test_same_optimum_as_unlumped(self, ds, delta, states, throughput):
+        kernel = build_mdp(ds, delta)
+        assert kernel.n_states == states
+        solution = solve_average_cost(kernel)
+        assert solution.throughput == pytest.approx(throughput, rel=1e-12, abs=0.0)
+
+    def test_five_identical_servers(self):
+        # 217,460 states without lumping
+        kernel = build_mdp((LAW_B,) * 5, 0.0)
+        assert kernel.n_states <= 3200
+        solution = solve_average_cost(kernel)
+        assert solution.throughput == pytest.approx(3.077670, abs=1e-6)
+
+    def test_states_are_canonical(self):
+        kernel = build_mdp((LAW_A, Deterministic(2.0), LAW_A), 1.0)
+        for state in kernel.states:
+            key = state[:3]
+            assert canonical_state(key, kernel.classes)[0] == key
+
+    @pytest.mark.parametrize(
+        "ds, delta",
+        [((LAW_B,) * 4, 1.0), ((LAW_A, Deterministic(2.0), LAW_A), 1.0), ((LAW_A,) * 3, 1.0)],
+        ids=["k4", "ADA", "k3"],
+    )
+    def test_orbit_has_one_canonical_key(self, ds, delta):
+        classes = law_classes(ds)
+        perms = list(_law_respecting(classes))
+        kernel = build_mdp(ds, delta)
+        for state in kernel.states:
+            key = state[:3]
+            canon, _ = canonical_state(key, classes)
+            for perm in perms:
+                moved = _relabel(key, perm)
+                got, back = canonical_state(moved, classes)
+                assert got == canon
+                # perm maps the observed labels onto the canonical ones
+                assert _relabel(moved, back) == canon
+                assert all(classes[back[s]] == classes[s] for s in range(len(classes)))
+
+    def test_permutation_across_laws_changes_the_key(self):
+        classes = law_classes((LAW_A, Deterministic(2.0), LAW_A))
+        key = (((0,),), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        swapped = _relabel(key, (1, 0, 2))  # server 1 (law A) <-> server 2 (det)
+        assert canonical_state(key, classes)[0] != canonical_state(swapped, classes)[0]
+        assert canonical_state(key, classes)[0] == canonical_state(_relabel(key, (2, 1, 0)), classes)[0]
+
+    def test_law_classes(self):
+        assert law_classes(EXAMPLE_DISTS) is None
+        assert law_classes(LATTICE_DISTS) is None
+        assert law_classes((LAW_A, Deterministic(2.0), LAW_A)) == (0, 1, 0)
+        assert law_classes((LAW_B,) * 4) == (0, 0, 0, 0)
+        assert build_mdp(EXAMPLE_DISTS, 0.0).classes is None
