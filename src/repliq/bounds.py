@@ -221,10 +221,11 @@ def homogeneous_cost(
 
     estimator="exact": exact enumeration for atomic laws, tail-product
     integrals otherwise (closed form for exponential mixtures, else
-    quadrature).  estimator="monte-carlo": n_paths common-random-number
+    quadrature).  estimator="monte-carlo": n_paths >= 2 common-random-number
     sample paths.  Returns (mean, stderr); stderr is 0 for the exact
     path.
     """
+    _check_paths(estimator, n_paths)
     starts = starts.starts if isinstance(starts, StartTimeVector) else tuple(starts)
     if any(t < 0 for t in starts):
         raise ValueError(f"start times must be >= 0, got {starts}")
@@ -247,6 +248,12 @@ def homogeneous_cost(
     if atoms is not None:
         return _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term), 0.0
     return _cost_tail_integrals(d, all_starts, delta, extra_finisher_term), 0.0
+
+
+def _check_paths(estimator, n_paths):
+    # one path has no sample variance, zero paths no mean
+    if estimator == "monte-carlo" and n_paths < 2:
+        raise ValueError(f"monte-carlo needs n_paths >= 2, got {n_paths}")
 
 
 def _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term):
@@ -332,6 +339,7 @@ def homogeneous_bound(
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    _check_paths(estimator, n_paths)
     if k == 1:
         mean, err = homogeneous_cost(
             d, delta, (), estimator, n_paths, seed,

@@ -61,7 +61,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--jobs", type=_count, default=None)
         p.add_argument("--runs", type=_count, default=None)
-        p.add_argument("--paths", type=int, default=None)
+        p.add_argument("--paths", type=_paths, default=None)
         p.add_argument("--gnuplot", default="", help="also emit a gnuplot script")
         if name == "simulate":
             p.add_argument(
@@ -74,11 +74,16 @@ def _build_parser():
     return parser
 
 
-def _count(text):
+def _count(text, least=1):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _paths(text):
+    # a Monte-Carlo standard error needs two sample paths
+    return _count(text, 2)
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -135,9 +135,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 setattr(cfg, key, int(values[key]))
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer: {exc}") from exc
-    for key in ("jobs", "runs"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    for key, least in (("jobs", 1), ("runs", 1), ("paths", 2)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     if "sweep" in values:
         name, _, vals = values["sweep"].partition(":")
         if not vals:

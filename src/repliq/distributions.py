@@ -9,8 +9,15 @@ and for exponential mixtures (exp, shiftexp, hyperexp and their residuals: a
 sum of exponentials between offsets); breakpoint-aware quadrature is kept
 for products with no closed form (Pareto, or any of those mixed with it).
 
-Conventions: tail(x) = P(X > x) and equals 1 for any x below the support;
-``float('inf')`` is an admissible threshold/age everywhere it makes sense.
+scipy is imported only where it runs: ``scipy.integrate.quad`` inside
+``product_tail_integral``'s quadrature fallback and ``scipy.optimize.brentq``
+inside ``HyperExp.quantile`` (which ``homogeneous_bound``'s default start-time
+grid calls).  Importing repliq loads numpy alone, and so do the closed forms,
+the simulator, the MDP and the bounds on atomic and exponential-mixture laws.
+
+Every law has a positive mean.  Conventions: tail(x) = P(X > x) and equals 1
+for any x below the support; ``float('inf')`` is an admissible threshold/age
+everywhere it makes sense.
 """
 
 import ast
@@ -19,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import InfiniteMeanError, ZeroSupportError
 
@@ -92,13 +97,13 @@ class ServiceDistribution:
 
 @dataclass(frozen=True)
 class Deterministic(ServiceDistribution):
-    """Constant service time."""
+    """Constant positive service time."""
 
     value: float
 
     def __post_init__(self):
-        if not 0 <= self.value < INF:
-            raise ValueError(f"deterministic value must be finite and >= 0, got {self.value}")
+        if not 0 < self.value < INF:
+            raise ValueError(f"deterministic value must be finite and > 0, got {self.value}")
 
     def mean(self):
         return self.value
@@ -267,6 +272,8 @@ class HyperExp(ServiceDistribution):
     def quantile(self, p):
         if p <= 0:
             return 0.0
+        from scipy.optimize import brentq
+
         target = 1.0 - p
         hi = 1.0
         while self.tail(hi) > target:
@@ -347,7 +354,7 @@ class Pareto(ServiceDistribution):
 
 @dataclass(frozen=True)
 class FiniteSupport(ServiceDistribution):
-    """Law on finitely many nonnegative atoms."""
+    """Law on finitely many nonnegative atoms with a positive mean."""
 
     atoms: tuple
 
@@ -366,6 +373,8 @@ class FiniteSupport(ServiceDistribution):
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities must sum to 1, got {total}")
         object.__setattr__(self, "atoms", atoms)
+        if self.mean() == 0.0:
+            raise ValueError(f"finite-support law needs a positive mean, got atoms {values}")
         object.__setattr__(self, "_values", tuple(values))
         cum = np.cumsum([p for _, p in atoms])
         cum[-1] = 1.0
@@ -512,6 +521,8 @@ def product_tail_integral(components, lower: float = 0.0) -> float:
         return _atomic_integral(comps, lower, upper)
     if all(d._phases() is not None for d, _, _ in comps):
         return _mixture_integral(comps, lower)
+
+    from scipy.integrate import quad
 
     def f(x):
         out = 1.0

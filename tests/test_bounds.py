@@ -97,11 +97,13 @@ class TestPauseThroughput:
         assert abs(mc - closed) / closed < 0.005
 
     def test_degenerate_truncation(self):
+        # zero-mean laws are refused at construction, but a law with a zero
+        # atom still truncates to 0 where 0.4 * threshold underflows
         zero_atom = FiniteSupport(((0.0, 0.6), (1.0, 0.4)))
+        tiny = 5e-324
+        assert zero_atom.truncated_mean(tiny) == 0.0
         with pytest.raises(DegenerateTruncationError):
-            adarep_pause_throughput(
-                FiniteSupport(((0.0, 1.0),)), zero_atom, 0.0, (0.5, 0.5)
-            )
+            adarep_pause_throughput(zero_atom, zero_atom, 0.0, (tiny, tiny))
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -215,6 +217,16 @@ class TestHomogeneousCost:
         with pytest.raises(ValueError):
             StartTimeVector((2.0, 1.0))
 
+    @pytest.mark.parametrize("n_paths", [-1, 0, 1])
+    def test_monte_carlo_needs_two_paths(self, n_paths):
+        # one path has no sample variance, zero paths no mean
+        with pytest.raises(ValueError, match="n_paths >= 2"):
+            homogeneous_cost(Exponential(1.0), 0.1, (0.5,), "monte-carlo", n_paths=n_paths)
+        mean, err = homogeneous_cost(Exponential(1.0), 0.1, (0.5,), "monte-carlo", n_paths=2)
+        assert math.isfinite(mean) and math.isfinite(err)
+        # the exact estimator draws no paths
+        assert homogeneous_cost(Exponential(1.0), 0.1, (0.5,), n_paths=n_paths)[1] == 0.0
+
 
 class TestHomogeneousBound:
     def test_two_exponentials_with_delay(self):
@@ -243,6 +255,12 @@ class TestHomogeneousBound:
     def test_single_server(self):
         rep = homogeneous_bound(Exponential(2.0), 0.7, 1)
         assert rep.value == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_monte_carlo_needs_two_paths(self, k, n_paths):
+        with pytest.raises(ValueError, match="n_paths >= 2"):
+            homogeneous_bound(Exponential(1.0), 0.1, k, "monte-carlo", n_paths=n_paths)
 
     def test_monte_carlo_agrees_with_exact(self):
         d = EXAMPLE[1]

@@ -78,6 +78,10 @@ class TestConfigParsing:
             "servers = det(1e308*10)\n",  # overflows to inf without an error
             "servers = det(2)\ndelta = inf\n",
             "servers = det(2)\ndelta = inf-inf\n",  # nan
+            "servers = det(0)\n",  # zero mean
+            "servers = finite([(0,1)])\n",
+            "servers = det(2)\npaths = 1\n",  # no Monte-Carlo stderr
+            "servers = det(2)\npaths = 0\n",
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -109,6 +113,16 @@ class TestAnalyticCommand:
         code, rows, _ = run_cli(tmp_path, ["analytic"], text)
         assert code == 0
         assert rows[0]["params"].startswith("r*=10")
+
+    @pytest.mark.parametrize(
+        "servers",
+        ["det(0), det(2)", "finite([(0,1)]), det(2)", "det(2), finite([(0,1-$p),($p,$p)])"],
+    )
+    def test_zero_mean_law_exits_two(self, tmp_path, capsys, servers):
+        text = f"servers = {servers}\nsweep = p: 0, 0.5\n"
+        code, rows, _ = run_cli(tmp_path, ["analytic"], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_row_level_numeric_error(self, tmp_path):
         text = "servers = pareto(0.5,0.9)\npolicies = norep\n"
@@ -217,6 +231,12 @@ class TestBoundCommand:
     def test_count_override_below_one_exits_two(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             run_cli(tmp_path, ["simulate", flag, "0"], EXAMPLE1)
+        assert exc.value.code == 2
+
+    def test_paths_override_below_two_exits_two(self, tmp_path):
+        text = "servers = exp(1), exp(1)\nbound = homogeneous\nestimator = monte-carlo\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, ["bound", "--paths", "1"], text)
         assert exc.value.code == 2
 
 

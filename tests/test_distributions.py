@@ -348,9 +348,16 @@ class TestValidation:
             Shifted(-0.1, Exponential(1.0))
         with pytest.raises(ValueError):
             HyperExp(0.5, 0.1, 1.2)
-        for bad in (-2.0, INF, float("nan")):
+        for bad in (-2.0, 0.0, INF, float("nan")):
             with pytest.raises(ValueError):
                 Deterministic(bad)
+        # every throughput is a rate 1/E[...]: a zero-mean law has none,
+        # but a zero atom beside a positive one is a valid law
+        with pytest.raises(ValueError, match="positive mean"):
+            FiniteSupport(((0.0, 1.0),))
+        zero_atom = FiniteSupport(((0.0, 0.6), (1.0, 0.4)))
+        assert zero_atom.mean() == 0.4
+        assert zero_atom.truncated_mean(0.5) == 0.2
 
 
 class TestParsing:

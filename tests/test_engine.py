@@ -1,6 +1,9 @@
 import math
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -496,6 +499,34 @@ class TestParallelRuns:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_children_import_scipy_on_demand(self):
+        # a fresh interpreter forks before scipy is loaded, so the caller and
+        # each child import it on their own first quadrature
+        code = """
+import sys
+from repliq import engine
+from repliq.distributions import Deterministic, Pareto
+from repliq.engine import SystemConfig, run_poisson
+from repliq.policies import MaxRate
+
+config = SystemConfig((Pareto(1.0, 2.5), Deterministic(1.5)), 0.0)
+assert "scipy" not in sys.modules
+engine._WORKERS = 2
+split = run_poisson(config, MaxRate(), 0.5, n_jobs=100, n_runs=4, seed=0)
+engine._WORKERS = 1
+serial = run_poisson(config, MaxRate(), 0.5, n_jobs=100, n_runs=4, seed=0)
+assert split == serial, (split, serial)
+"""
+        src = str(pathlib.Path(engine.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_call_from_a_daemonic_pool_worker_runs_serially(self, monkeypatch):
         args = (EXAMPLE, FullRep(), 0.6, 60, 4, 3)
