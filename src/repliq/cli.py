@@ -58,7 +58,7 @@ def _build_parser():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", default="", help="CSV output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--jobs", type=_count, default=None)
         p.add_argument("--runs", type=_count, default=None)
         p.add_argument("--paths", type=_paths, default=None)
@@ -84,6 +84,11 @@ def _count(text, least=1):
 def _paths(text):
     # a Monte-Carlo standard error needs two sample paths
     return _count(text, 2)
+
+
+def _seed(text):
+    # numpy's SeedSequence takes non-negative integers only
+    return _count(text, 0)
 
 
 def _load_config(args) -> ExperimentConfig:

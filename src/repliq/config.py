@@ -135,7 +135,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 setattr(cfg, key, int(values[key]))
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer: {exc}") from exc
-    for key, least in (("jobs", 1), ("runs", 1), ("paths", 2)):
+    for key, least in (("jobs", 1), ("runs", 1), ("paths", 2), ("seed", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     if "sweep" in values:

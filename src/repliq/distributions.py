@@ -9,11 +9,13 @@ and for exponential mixtures (exp, shiftexp, hyperexp and their residuals: a
 sum of exponentials between offsets); breakpoint-aware quadrature is kept
 for products with no closed form (Pareto, or any of those mixed with it).
 
-scipy is imported only where it runs: ``scipy.integrate.quad`` inside
-``product_tail_integral``'s quadrature fallback and ``scipy.optimize.brentq``
-inside ``HyperExp.quantile`` (which ``homogeneous_bound``'s default start-time
-grid calls).  Importing repliq loads numpy alone, and so do the closed forms,
-the simulator, the MDP and the bounds on atomic and exponential-mixture laws.
+scipy is imported in one place, where it runs: ``scipy.integrate.quad``
+inside ``product_tail_integral``'s quadrature fallback (Pareto laws, or any
+law mixed with one).  ``HyperExp.quantile`` finds its root with ``_brentq``,
+a port of ``scipy.optimize.brentq`` that returns the same bits.  Importing
+repliq loads numpy alone, and so do the closed forms, the simulator, the MDP
+and the bounds on atomic and exponential-mixture laws, the default start-time
+grids of the homogeneous and pause bounds included.
 
 Every law has a positive mean.  Conventions: tail(x) = P(X > x) and equals 1
 for any x below the support; ``float('inf')`` is an admissible threshold/age
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteMeanError, ZeroSupportError
+from .errors import BracketError, InfiniteMeanError, NoConvergenceError, ZeroSupportError
 
 INF = float("inf")
 
@@ -51,7 +53,12 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def quantile(self, p: float) -> float:
-        """Smallest x with P(X <= x) >= p, for p in [0, 1)."""
+        """Smallest x with P(X <= x) >= p; ValueError unless p is in [0, 1)."""
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"quantile needs p in [0, 1), got {p}")
+        return self._quantile(p)
+
+    def _quantile(self, p: float) -> float:
         raise NotImplementedError
 
     def residual(self, t: float) -> "ServiceDistribution":
@@ -67,7 +74,7 @@ class ServiceDistribution:
 
     def sample(self, rng) -> float:
         """One draw by inverse transform; deterministic given the generator state."""
-        return self.quantile(rng.random())
+        return self._quantile(rng.random())
 
     def sample_array(self, rng, n: int) -> np.ndarray:
         return np.array([self.sample(rng) for _ in range(n)])
@@ -114,7 +121,7 @@ class Deterministic(ServiceDistribution):
     def truncated_mean(self, t):
         return min(self.value, t)
 
-    def quantile(self, p):
+    def _quantile(self, p):
         return self.value
 
     def _residual(self, t):
@@ -165,7 +172,7 @@ class Exponential(ServiceDistribution):
             return self.mean()
         return -math.expm1(-self.rate * t) / self.rate
 
-    def quantile(self, p):
+    def _quantile(self, p):
         return -math.log1p(-p) / self.rate
 
     def _residual(self, t):
@@ -203,8 +210,8 @@ class Shifted(ServiceDistribution):
             return t
         return self.shift + self.inner.truncated_mean(t - self.shift)
 
-    def quantile(self, p):
-        return self.shift + self.inner.quantile(p)
+    def _quantile(self, p):
+        return self.shift + self.inner._quantile(p)
 
     def _residual(self, t):
         if t < self.shift:
@@ -269,16 +276,14 @@ class HyperExp(ServiceDistribution):
             self.p2 * -math.expm1(-self.rate2 * t) / self.rate2
         )
 
-    def quantile(self, p):
+    def _quantile(self, p):
         if p <= 0:
             return 0.0
-        from scipy.optimize import brentq
-
         target = 1.0 - p
         hi = 1.0
         while self.tail(hi) > target:
             hi *= 2.0
-        return brentq(lambda x: self.tail(x) - target, 0.0, hi, xtol=1e-13, rtol=1e-13)
+        return _brentq(lambda x: self.tail(x) - target, 0.0, hi, xtol=1e-13, rtol=1e-13)
 
     def _residual(self, t):
         # conditioning re-weights the mixture; each branch stays memoryless
@@ -336,7 +341,7 @@ class Pareto(ServiceDistribution):
         a = self.alpha
         return self.xm + self.xm**a * (t ** (1.0 - a) - self.xm ** (1.0 - a)) / (1.0 - a)
 
-    def quantile(self, p):
+    def _quantile(self, p):
         return self.xm * (1.0 - p) ** (-1.0 / self.alpha)
 
     def sample_array(self, rng, n):
@@ -391,7 +396,7 @@ class FiniteSupport(ServiceDistribution):
     def truncated_mean(self, t):
         return math.fsum(min(v, t) * p for v, p in self.atoms)
 
-    def quantile(self, p):
+    def _quantile(self, p):
         i = int(np.searchsorted(self._cum, p, side="right"))
         return self._values[min(i, len(self._values) - 1)]
 
@@ -453,8 +458,8 @@ class Residual(ServiceDistribution):
         top = self.base.truncated_mean(self.age + t) - self.base.truncated_mean(self.age)
         return top / self._tail_at_age
 
-    def quantile(self, p):
-        return self.base.quantile(1.0 - self._tail_at_age * (1.0 - p)) - self.age
+    def _quantile(self, p):
+        return self.base._quantile(1.0 - self._tail_at_age * (1.0 - p)) - self.age
 
     def _residual(self, t):
         return self.base.residual(self.age + t)
@@ -470,6 +475,50 @@ class Residual(ServiceDistribution):
 
     def __str__(self):
         return f"residual({self.base}, {_fmt(self.age)})"
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f between a and b by Brent's method: scipy's brentq.c step for
+    step, the same float operations in the same order, so it returns the bits
+    of ``scipy.optimize.brentq`` without importing scipy.  Raises BracketError
+    when f(a) and f(b) share a sign, NoConvergenceError after maxiter steps."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return float(xpre)
+    if fcur == 0:
+        return float(xcur)
+    if (fpre < 0) == (fcur < 0):
+        raise BracketError(f"f(a) = {fpre} and f(b) = {fcur} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NoConvergenceError(f"brentq did not converge in {maxiter} iterations (x = {xcur})")
 
 
 def _fmt(x: float) -> str:

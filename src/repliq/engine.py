@@ -150,7 +150,7 @@ class _Sim:
         self.snapshot = None
         self.dep_times = []
         self.dep_cost = []
-        self.dep_resp = []
+        self.dep_resp = []  # response times, kept in Poisson runs only
         self.max_idle_gap = 0.0
         self.q_mid = 0
         self.q_end = 0
@@ -276,7 +276,8 @@ class _Sim:
         del self.jobs[job.id]
         self.dep_times.append(now)
         self.dep_cost.append(cost)
-        self.dep_resp.append(now - job.arrival)
+        if self.arrivals is not None:
+            self.dep_resp.append(now - job.arrival)
         self._log(now, "depart", job.id, finisher, ncopies)
         return True
 
@@ -406,7 +407,7 @@ def run_poisson(
     the policy's capacity).  The runs are split over forked workers (see
     _poisson_rows); the result is the same for every split.
     """
-    if lam <= 0:
+    if not lam > 0:  # nan too: _Sim would run it saturated, with no response times
         raise ValueError(f"need lam > 0, got {lam}")
     if n_runs < 1:
         raise ValueError(f"need n_runs >= 1, got {n_runs}")

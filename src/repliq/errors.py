@@ -33,6 +33,10 @@ class NonLatticeDeltaError(RepliqError):
     """Cancellation delay is not representable on the service-value lattice."""
 
 
+class BracketError(RepliqError, ValueError):
+    """A root finder's bracket ends give function values of the same sign."""
+
+
 class NoConvergenceError(RepliqError):
     """Iterative solver did not reach the requested tolerance."""
 

@@ -82,6 +82,7 @@ class TestConfigParsing:
             "servers = finite([(0,1)])\n",
             "servers = det(2)\npaths = 1\n",  # no Monte-Carlo stderr
             "servers = det(2)\npaths = 0\n",
+            "servers = det(2)\nseed = -1\n",  # numpy seeds are non-negative
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -231,6 +232,21 @@ class TestBoundCommand:
     def test_count_override_below_one_exits_two(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             run_cli(tmp_path, ["simulate", flag, "0"], EXAMPLE1)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("simulate", EXAMPLE1 + "jobs = 200\n"),
+            ("bound", "servers = exp(1), exp(1)\nbound = homogeneous\nestimator = monte-carlo\n"),
+        ],
+    )
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command, text):
+        code, rows, _ = run_cli(tmp_path, [command], text + "seed = -1\n")
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, [command, "--seed", "-1"], text)
         assert exc.value.code == 2
 
     def test_paths_override_below_two_exits_two(self, tmp_path):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from repliq.distributions import (
     Deterministic,
@@ -13,12 +14,13 @@ from repliq.distributions import (
     Pareto,
     Residual,
     Shifted,
+    _brentq,
     min_expectation,
     min_expectation_iid,
     parse_distribution,
     product_tail_integral,
 )
-from repliq.errors import InfiniteMeanError, ZeroSupportError
+from repliq.errors import BracketError, InfiniteMeanError, NoConvergenceError, ZeroSupportError
 
 INF = float("inf")
 
@@ -328,6 +330,81 @@ class TestQuantile:
             x = d.quantile(p)
             assert 1.0 - d.tail(x) >= p - 1e-9
             assert 1.0 - d.tail(x - 1e-6) <= p + 1e-6 or d._atoms() is not None
+
+    @pytest.mark.parametrize("d", ALL_VARIANTS + [Pareto(0.5, 2.2).residual(1.0)])
+    @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, INF, math.nan])
+    def test_rejects_p_outside_unit_interval(self, d, p):
+        with pytest.raises(ValueError, match=r"p in \[0, 1\)"):
+            d.quantile(p)
+
+
+def hyperexp_root(d, p):
+    """The root problem HyperExp.quantile hands to _brentq: f and its bracket."""
+    target = 1.0 - p
+    hi = 1.0
+    while d.tail(hi) > target:
+        hi *= 2.0
+    return (lambda x: d.tail(x) - target), 0.0, hi
+
+
+class TestBrentq:
+    """_brentq ports scipy.optimize.brentq and must return the same bits."""
+
+    def test_matches_scipy_on_hyperexp_quantiles(self):
+        rng = np.random.default_rng(20261018)
+        n = 40
+        laws = [HyperExp(0.6, 0.2, 0.4), HyperExp(0.5, 0.1, 0.4), HyperExp(1.0, 2.0, 0.0)]
+        laws += [
+            HyperExp(float(r1), float(r2), float(q))
+            for r1, r2, q in zip(10 ** rng.uniform(-3, 3, n), 10 ** rng.uniform(-3, 3, n), rng.random(n))
+        ]
+        # np.float64 grid values as the bounds pass them, p near 0 and 1, random p
+        ps = [*np.arange(0.05, 0.96, 0.05), 0.995, 1e-300, 1e-17, 1e-9, 1 - 1e-9, 1 - 1e-16]
+        ps += list(rng.random(10))
+        for d in laws:
+            for p in ps:
+                f, a, b = hyperexp_root(d, p)
+                want = brentq(f, a, b, xtol=1e-13, rtol=1e-13)
+                got = _brentq(f, a, b, xtol=1e-13, rtol=1e-13)
+                assert type(got) is float and got == want, (d, p)
+                assert d.quantile(p) == want, (d, p)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: x**3 - 2.0,
+            lambda x: math.cos(x) - x,
+            lambda x: math.exp(x) - 5.0,
+            lambda x: math.atan(x - 0.3),
+            lambda x: x**5 - 1e-10,
+        ],
+    )
+    @pytest.mark.parametrize("xtol,rtol", [(1e-13, 1e-13), (2e-12, 8.9e-16), (1e-6, 1e-6)])
+    def test_matches_scipy_on_smooth_roots(self, f, xtol, rtol):
+        rng = np.random.default_rng(7)
+        for a, b in zip(-rng.uniform(0, 10, 30), rng.uniform(2, 50, 30)):
+            assert _brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    def test_root_at_an_end(self):
+        assert _brentq(lambda x: x, 0.0, 1.0, 1e-13, 1e-13) == 0.0
+        assert _brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-13, 1e-13) == 1.0
+
+    def test_same_sign_ends_raise(self):
+        f = lambda x: x * x + 1.0  # noqa: E731
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0)
+        with pytest.raises(BracketError):
+            _brentq(f, -1.0, 1.0, 1e-13, 1e-13)
+
+    @pytest.mark.parametrize(
+        "f,maxiter",
+        [(lambda x: math.cos(x) - x, 3), (lambda x: (x - 1.0) ** 5, 100)],
+    )
+    def test_exhausted_iterations_raise(self, f, maxiter):
+        with pytest.raises(RuntimeError, match="converge"):
+            brentq(f, -3.0, 10.0, xtol=1e-13, rtol=1e-13, maxiter=maxiter)
+        with pytest.raises(NoConvergenceError):
+            _brentq(f, -3.0, 10.0, 1e-13, 1e-13, maxiter)
 
 
 class TestValidation:

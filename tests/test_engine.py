@@ -301,6 +301,11 @@ class TestPoisson:
         b = run_poisson(EXAMPLE, FullRep(), lam=0.5, n_jobs=300, n_runs=5, seed=8)
         assert a == b
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_rate_must_be_positive(self, lam):
+        with pytest.raises(ValueError, match="need lam > 0"):
+            run_poisson(EXAMPLE, NoRep(), lam, n_jobs=50, n_runs=2, seed=0)
+
 
 class _BrokenReplicator(Policy):
     name = "broken"
