@@ -226,12 +226,9 @@ def homogeneous_cost(
     path.
     """
     _check_paths(estimator, n_paths)
-    starts = starts.starts if isinstance(starts, StartTimeVector) else tuple(starts)
-    if any(t < 0 for t in starts):
-        raise ValueError(f"start times must be >= 0, got {starts}")
-    if any(a > b for a, b in zip(starts, starts[1:])):
-        raise ValueError(f"start times must be nondecreasing, got {starts}")
-    all_starts = (0.0,) + starts
+    if not isinstance(starts, StartTimeVector):
+        starts = StartTimeVector(starts)
+    all_starts = (0.0,) + starts.starts
 
     if estimator == "monte-carlo":
         draws = _crn_draws

@@ -26,6 +26,8 @@ import ast
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -530,6 +532,50 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The time lattice of an atomic mix.
+
+_GRID = 10**6  # lattice values are read in units of 1e-6
+
+
+@lru_cache(maxsize=256)
+def _lattice_step(dists, delta=0.0):
+    """Largest step g, a Fraction, of which every atom of every law in the
+    tuple dists and the delay delta are whole multiples: their gcd in units
+    of 1e-6.  None when a law is not atomic or a value lies more than 1e-9
+    off the 1e-6 grid.
+
+    The decision process counts time in ticks of g, the tabular policy
+    reads its observations in ticks, and a saturated run on a lattice whose
+    g is no binary fraction snaps its event times to multiples of g.
+    """
+    values = [delta]
+    for d in dists:
+        atoms = d._atoms()
+        if atoms is None:
+            return None
+        values += [v for v, _ in atoms]
+    g = 0
+    for v in values:
+        scaled = v * _GRID
+        units = round(scaled)
+        if abs(scaled - units) > 1e-3:
+            return None
+        g = math.gcd(g, units)
+    return Fraction(g, _GRID)
+
+
+def _ticks(x, step):
+    """The whole number of steps (a float step, from _lattice_step) nearest x."""
+    return round(x / step)
+
+
+def _time_of(ticks, step):
+    """The time spanned by a whole number of ticks of step (a Fraction): the
+    float nearest to it, as int true division rounds correctly."""
+    return int(ticks) * step.numerator / step.denominator
+
+
+# ---------------------------------------------------------------------------
 # Expectations of minima via the integral of the product of tails.
 
 
@@ -631,16 +677,21 @@ def _normalize_components(components):
 
 
 def _atomic_integral(comps, lower, upper):
-    # the product of tails is a right-continuous step function; sum the steps
-    points = sorted(
-        {lower, upper}
-        | {off + v for d, off, _ in comps for v, _ in d._atoms() if lower < off + v < upper}
-    )
+    # the product of tails is a right-continuous step function; sum the steps.
+    # A component's tail at x0 is the mass of its atoms placed above x0, with
+    # each atom placed at the point off + v itself: x0 - off may fall one ulp
+    # short of v (1.0 - 0.9 < 0.1).
+    sweeps = []
+    for d, off, pw in comps:
+        atoms = d._atoms()
+        tails = [math.fsum(p for _, p in atoms[i:]) for i in range(len(atoms) + 1)]
+        sweeps.append(([off + v for v, _ in atoms], tails, pw))
+    points = sorted({lower, upper} | {x for at, _, _ in sweeps for x in at if lower < x < upper})
     total = 0.0
     for x0, x1 in zip(points, points[1:]):
         prod = 1.0
-        for d, off, pw in comps:
-            prod *= d.tail(x0 - off) ** pw
+        for at, tails, pw in sweeps:
+            prod *= tails[bisect.bisect_right(at, x0)] ** pw
         total += (x1 - x0) * prod
     return total
 

@@ -7,6 +7,13 @@ assignable servers are offered to the policy in ascending index order once
 all events at a timestamp have been handled.  Identical (config, policy,
 seed) triples therefore reproduce identical trajectories bit for bit.
 
+A saturated run whose laws are atomic on a lattice of step g
+(distributions._lattice_step) that is no binary fraction, such as 0.1,
+snaps every departure and cancellation-window end to the multiple of g
+nearest it, so that events simultaneous on the lattice share one
+timestamp, as in the decision process.  Integer and dyadic lattices,
+non-atomic laws and Poisson runs are left as they are.
+
 Random numbers come from ``SeedSequence(seed).spawn(k + 1)``: child ``s``
 draws server ``s``'s service times and the last child draws the Poisson
 inter-arrival gaps, each in blocks of ``_BLOCK`` values.  A server's n-th
@@ -28,6 +35,7 @@ from functools import partial
 
 import numpy as np
 
+from .distributions import _lattice_step, _ticks, _time_of
 from .errors import PolicyError
 from .policies import Decision, JobView, Observation, Policy
 
@@ -155,12 +163,21 @@ class _Sim:
         self.q_mid = 0
         self.q_end = 0
         self.served_at_horizon = 0
+        if self.arrivals is None:  # snap to a non-binary lattice; see the module docstring
+            step = _lattice_step(self.dists, self.delta)
+            if step is not None and float(step) != step:
+                self._push = partial(self._push_on_lattice, float(step), step)
 
     # -- event plumbing ------------------------------------------------------
 
     def _push(self, time, kind, a, b):
         self.seq += 1
         heapq.heappush(self.heap, (time, kind, self.seq, a, b))
+
+    def _push_on_lattice(self, g, step, time, kind, a, b):
+        """_push at the multiple of the lattice step nearest time: the float
+        nearest that multiple, the same for every event due there."""
+        _Sim._push(self, _time_of(_ticks(time, g), step), kind, a, b)
 
     def _log(self, time, event, job_id, server, detail):
         if self.trace is not None:

@@ -10,6 +10,10 @@ servers starts a fresh job or joins an existing one).  The cost of a
 transition is K times the time it spans, so minimizing average cost per
 departure maximizes throughput: rate = K / gain.
 
+States count time in whole ticks of the mix's lattice step g
+(distributions._lattice_step), so no time sum is rounded; the replay reads
+the simulator's clock in ticks of the same g (TabularPolicy, engine).
+
 Relabelling servers that share a law maps states onto states with equal
 transition laws, so the chain is lumpable (Kemeny & Snell, Finite Markov
 Chains, 1960): the kernel holds one canonical state per orbit
@@ -25,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _fmt
+from .distributions import _fmt, _lattice_step, _ticks, _time_of
 from .errors import (
     MultichainError,
     NoConvergenceError,
@@ -35,8 +39,6 @@ from .errors import (
 from .policies import TabularPolicy, canonical_state, law_classes
 
 INF = float("inf")
-
-_ROUND = 9
 
 STATE_CAP = 1_000_000
 
@@ -48,6 +50,7 @@ class MdpKernel:
     k: int
     delta: float
     classes: tuple = None  # law classes of the servers; None when all laws differ
+    step: object = 1  # time per tick of the states' elapsed and cancel counts (a Fraction)
 
     @property
     def n_states(self):
@@ -68,9 +71,12 @@ class MdpSolution:
 def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     """Breadth-first reachable kernel from the all-idle state.
 
-    Requires every service law to be atomic; the cancellation delay must
-    sit on the lattice spanned by the atom values so elapsed times stay on
-    a finite grid.  When two servers share a law, every state is interned
+    Requires every service law to be atomic, with atoms on the 1e-6 grid,
+    and the cancellation delay to be a whole multiple of the atoms' lattice
+    step g (distributions._lattice_step).  Elapsed times, cancellation
+    windows and residual atoms are counted in ticks of g, held as integral
+    floats, so sums of times are exact; times appear only in the costs and
+    in state_string.  When two servers share a law, every state is interned
     in canonical form and each outcome of a step is canonicalised before
     outcomes are grouped, so the probabilities of outcomes in one orbit
     add up in one transition; actions are enumerated from canonical states.
@@ -78,15 +84,18 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     transitions share one object.
     """
     ds = tuple(ds)
-    atom_lists = []
     for d in ds:
-        atoms = d._atoms()
-        if atoms is None:
-            raise ValueError(
-                f"decision process needs finite-support laws, got {d}"
-            )
-        atom_lists.append(atoms)
-    _check_delta_lattice(atom_lists, delta)
+        if d._atoms() is None:
+            raise ValueError(f"decision process needs finite-support laws, got {d}")
+    if delta < 0:
+        raise NonLatticeDeltaError(f"cancellation delay must be >= 0, got {delta}")
+    step = _lattice_step(ds, 0.0)
+    if step is None:
+        raise NonLatticeDeltaError(f"atom values of {ds} are not on the 1e-6 grid")
+    if _lattice_step(ds, delta) != step:
+        raise NonLatticeDeltaError(f"delta {delta} is not a lattice multiple of the atom values")
+    g = float(step)
+    window = float(_ticks(delta, g))
     k = len(ds)
     classes = law_classes(ds)
     states = []
@@ -98,11 +107,13 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     canonicals = {}
 
     def residual(s, t):
-        """Atoms of server s's law after t elapsed, values on the state grid."""
-        atoms = residuals.get((s, t))
+        """Atoms of server s's law after t ticks elapsed, values in ticks;
+        memoised per law class."""
+        key = (s if classes is None else classes[s], t)
+        atoms = residuals.get(key)
         if atoms is None:
-            law = ds[s] if t == 0 else ds[s].residual(t)
-            atoms = residuals[s, t] = [(round(v, _ROUND), p) for v, p in law._atoms()]
+            law = ds[s] if t == 0 else ds[s].residual(_time_of(t, step))
+            atoms = residuals[key] = [(float(_ticks(v, g)), p) for v, p in law._atoms()]
         return atoms
 
     def intern(state):
@@ -143,13 +154,13 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
                 acts.append((label, (transition(idx, 1.0, 0.0, 1),)))
                 continue
             groups = {}
-            for combo_state, prob, cost, departs in _step(residual, occupancy, delta, k):
+            for combo_state, prob, tau, departs in _step(residual, occupancy, window, k):
                 if classes is not None:
                     combo_state = canonical(combo_state)
                 key = (combo_state, departs)
                 agg = groups.setdefault(key, [0.0, 0.0])
                 agg[0] += prob
-                agg[1] += prob * cost
+                agg[1] += prob * (k * _time_of(tau, step))
             trans = tuple(
                 transition(intern(nxt), p, c / p, departs)
                 for (nxt, departs), (p, c) in sorted(groups.items())
@@ -157,30 +168,9 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
             acts.append((label, trans))
         actions.append(acts)
         frontier += 1
-    return MdpKernel(states=states, actions=actions, k=k, delta=delta, classes=classes)
-
-
-def _check_delta_lattice(atom_lists, delta):
-    if delta < 0:
-        raise NonLatticeDeltaError(f"cancellation delay must be >= 0, got {delta}")
-    if delta == 0:
-        return
-    scale = 10**6
-    scaled = []
-    for atoms in atom_lists:
-        for v, _ in atoms:
-            s = v * scale
-            if abs(s - round(s)) > 1e-3:
-                raise NonLatticeDeltaError(f"atom {v} not on the 1e-6 value grid")
-            scaled.append(int(round(s)))
-    g = 0
-    for s in scaled:
-        g = math.gcd(g, s)
-    sd = delta * scale
-    if abs(sd - round(sd)) > 1e-3 or (g > 0 and int(round(sd)) % g != 0):
-        raise NonLatticeDeltaError(
-            f"delta {delta} is not a lattice multiple of the atom values"
-        )
+    return MdpKernel(
+        states=states, actions=actions, k=k, delta=delta, classes=classes, step=step
+    )
 
 
 def _enumerate_actions(state, k):
@@ -252,17 +242,19 @@ def _plan_label(plan):
     return "+".join(parts)
 
 
-def _step(residual, occupancy, delta, k):
+def _step(residual, occupancy, window, k):
     """Joint outcomes until the next server-release epoch.
 
-    Yields (next_state, probability, cost, departures-flag) per outcome of
-    the conditional service laws of the busy servers; residual(s, t) gives
-    server s's atoms after t elapsed, rounded to the state grid.
+    Yields (next_state, probability, ticks spanned, departures-flag) per
+    outcome of the conditional service laws of the busy servers;
+    residual(s, t) gives server s's atoms after t ticks elapsed, and window
+    is the cancellation delay, both in ticks.  Tick counts are integral
+    floats, so every sum and difference here is exact.
     """
     jobs, elapsed, cancel = occupancy
     busy = sorted({s for job in jobs for s in job})
     slot = {s: i for i, s in enumerate(busy)}
-    windows = [(job, [slot[s] for s in job], delta if len(job) >= 2 else 0.0) for job in jobs]
+    windows = [(job, [slot[s] for s in job], window if len(job) >= 2 else 0.0) for job in jobs]
     cancel_tau = min([c for c in cancel if c > 0], default=INF)
     for combo in itertools.product(*[residual(s, elapsed[s]) for s in busy]):
         prob = 1.0
@@ -270,9 +262,9 @@ def _step(residual, occupancy, delta, k):
             prob *= p
         tau = cancel_tau
         ends = []
-        for job, slots, window in windows:
+        for job, slots, wait in windows:
             completion = min([combo[i][0] for i in slots])
-            release = round(completion + window, _ROUND)
+            release = completion + wait
             ends.append((job, completion, release))
             if release < tau:
                 tau = release
@@ -284,16 +276,16 @@ def _step(residual, occupancy, delta, k):
             if completion > tau:
                 survivors.append(job)
                 for s in job:
-                    nxt_elapsed[s] = round(elapsed[s] + tau, _ROUND)
+                    nxt_elapsed[s] = elapsed[s] + tau
                 continue
             finished += 1
-            rem = round(release - tau, _ROUND)
+            rem = release - tau
             if rem > 0:
                 for s in job:
                     nxt_cancel[s] = rem
         for s, c in enumerate(cancel):
             if c > 0:
-                rem = round(c - tau, _ROUND)
+                rem = c - tau
                 if rem > 0:
                     nxt_cancel[s] = rem
         nxt = (
@@ -302,7 +294,7 @@ def _step(residual, occupancy, delta, k):
             tuple(nxt_cancel),
             max(0, finished - 1),
         )
-        yield nxt, prob, k * tau, (1 if finished >= 1 else 0)
+        yield nxt, prob, tau, (1 if finished >= 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +570,12 @@ def _strongly_connected(adj, nodes=None):
 # Exporting the solved policy.
 
 
-def state_string(state) -> str:
+def state_string(state, step=1) -> str:
+    """A state with its tick counts printed as times (ticks of the given step)."""
     jobs, elapsed, cancel, pending = state
     js = "[" + ";".join("[" + ",".join(str(s + 1) for s in job) + "]" for job in jobs) + "]"
-    ts = ",".join(_fmt(t) for t in elapsed)
-    cs = ",".join(_fmt(c) for c in cancel)
+    ts = ",".join(_fmt(_time_of(t, step)) for t in elapsed)
+    cs = ",".join(_fmt(_time_of(c, step)) for c in cancel)
     return f"jobs={js}|t={ts}|c={cs}|dr={pending}"
 
 
@@ -591,7 +584,7 @@ def policy_rows(kernel: MdpKernel, solution: MdpSolution):
     rows = []
     for s, state in enumerate(kernel.states):
         label, _ = kernel.actions[s][solution.choices[s]]
-        rows.append((state_string(state), label))
+        rows.append((state_string(state, kernel.step), label))
     return rows
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .analytic import Partition
-from .distributions import _fmt, min_expectation
+from .distributions import _fmt, _lattice_step, _ticks, min_expectation
 from .errors import InconsistentObservationError, PolicyError
 
 INF = float("inf")
@@ -241,7 +241,8 @@ class TabularPolicy(Policy):
     """Policy given as an explicit state -> refill-plan table.
 
     State keys are (job server-sets, per-server elapsed, per-server
-    cancelling remaining); plans list (server group, "new" | job server-set)
+    cancelling remaining), times in ticks of the laws' lattice step (see
+    observation_state_key); plans list (server group, "new" | job server-set)
     pairs covering every assignable server.  With law classes (see
     law_classes) the table holds canonical states only: an observed state
     outside it takes the plan of its canonical form, mapped back to the
@@ -254,12 +255,22 @@ class TabularPolicy(Policy):
 
     def __post_init__(self):
         object.__setattr__(self, "_lookup", dict(self.table))
+        # (laws, delay, float lattice step) of the last observation: a run
+        # shares one laws tuple, so the step is looked up once, not per call
+        object.__setattr__(self, "_lattice", (None, None, None))
 
     def params_str(self):
         return f"{len(self.table)}states"
 
     def decide(self, obs):
-        key = observation_state_key(obs)
+        dists, delta, g = self._lattice
+        if obs.dists is not dists or obs.delta != delta:
+            step = _lattice_step(obs.dists, obs.delta)
+            if step is None:
+                raise PolicyError(f"no time lattice for the laws {obs.dists} at delay {obs.delta}")
+            g = float(step)
+            object.__setattr__(self, "_lattice", (obs.dists, obs.delta, g))
+        key = observation_state_key(obs, g)
         plan = self._lookup.get(key)
         if plan is None:
             plan = self._relabelled_plan(key)
@@ -300,16 +311,18 @@ class TabularPolicy(Policy):
         return plan
 
 
-def observation_state_key(obs: Observation):
-    """(jobs, elapsed, cancelling) key matching the decision process's states."""
+def observation_state_key(obs: Observation, g: float):
+    """(jobs, elapsed, cancelling) key matching the decision process's
+    states: times in whole ticks of g, the lattice step of the laws and the
+    delay (distributions._lattice_step)."""
     k = len(obs.dists)
-    elapsed = [0.0] * k
+    elapsed = [0] * k
     for jv in obs.jobs:
         for s, e in zip(jv.servers, jv.elapsed):
-            elapsed[s] = round(e, 9)
-    cancel = [0.0] * k
+            elapsed[s] = _ticks(e, g)
+    cancel = [0] * k
     for s, rem in obs.cancelling:
-        cancel[s] = round(rem, 9)
+        cancel[s] = _ticks(rem, g)
     jobs = tuple(sorted(tuple(sorted(jv.servers)) for jv in obs.jobs))
     return (jobs, tuple(elapsed), tuple(cancel))
 

@@ -285,6 +285,16 @@ class TestMdpCommand:
         throughput = float(value.split("throughput=")[1].split(";")[0])
         assert throughput == pytest.approx(2.0, rel=1e-6)
 
+    def test_lattice_states_print_times(self, tmp_path):
+        # the kernel counts ticks of 0.1; its state strings print times
+        rows = _run_experiment(tmp_path, "mdp", "mdp_lattice.cfg")
+        (gain,) = [r["value"] for r in rows if r["item"] == "gain"]
+        assert "throughput=5.668088136520742;states=20" in gain
+        states = [r["state"] for r in rows if r["item"] == "policy"]
+        assert "jobs=[[2]]|t=0,0.3|c=0,0|dr=0" in states
+        elapsed = [float(t) for st in states for t in st.split("|t=")[1].split("|")[0].split(",")]
+        assert max(elapsed) == 1.6
+
 
 def _run_experiment(tmp_path, command, name):
     import pathlib

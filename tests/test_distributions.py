@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repliq.distributions import (
     Residual,
     Shifted,
     _brentq,
+    _lattice_step,
     min_expectation,
     min_expectation_iid,
     parse_distribution,
@@ -245,6 +248,43 @@ class TestMinExpectation:
         mc = np.maximum(s - 0.5, 0.0)
         assert value == pytest.approx(mc.mean(), abs=4 * mc.std() / math.sqrt(n))
 
+    def test_shifted_atom_passes_at_its_own_point(self):
+        # 0.9 + 0.1 is 1.0 in floats, but 1.0 - 0.9 falls one ulp below 0.1:
+        # the shifted law's first atom must count as passed at 1.0
+        inner = FiniteSupport(((0.1, 0.7), (1.7, 0.3)))
+        ds = [Shifted(0.9, inner), inner]
+        assert _enumerated_overshoot([(d, 0.0, 1) for d in ds], 0.0) == pytest.approx(0.433)
+        assert min_expectation(ds) == pytest.approx(0.433, rel=1e-12)
+
+    def test_atomic_offsets_on_decimal_lattices_match_enumeration(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            step = rng.choice([0.1, 0.05, 0.3])
+            comps = []
+            for _ in range(rng.randint(1, 3)):
+                values = rng.sample(range(1, 25), rng.randint(1, 3))
+                weights = [rng.random() + 0.1 for _ in values]
+                atoms = [(v * step, w / sum(weights)) for v, w in zip(values, weights)]
+                d = FiniteSupport(tuple(atoms)) if len(atoms) > 1 else Deterministic(atoms[0][0])
+                if rng.random() < 0.5:
+                    d = Shifted(rng.randint(0, 12) * step, d)
+                comps.append((d, rng.randint(0, 12) * step, rng.randint(1, 2)))
+            lower = rng.choice([0.0, rng.randint(0, 20) * step])
+            expected = _enumerated_overshoot(comps, lower)
+            assert product_tail_integral(comps, lower) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def _enumerated_overshoot(comps, lower):
+    """E[(min over copies of (X + offset) - lower)^+] by enumerating the
+    atoms of every copy; a component of power r stands for r copies."""
+    copies = [(d, off) for d, off, pw in comps for _ in range(pw)]
+    total = []
+    for outcome in itertools.product(*[d._atoms() for d, _ in copies]):
+        prob = math.prod(p for _, p in outcome)
+        first = min(off + v for (_, off), (v, _) in zip(copies, outcome))
+        total.append(prob * max(first - lower, 0.0))
+    return math.fsum(total)
+
 
 def _random_mixture_case(rng):
     """Components mixing exp and hyperexp laws, some shifted, with offsets,
@@ -405,6 +445,33 @@ class TestBrentq:
             brentq(f, -3.0, 10.0, xtol=1e-13, rtol=1e-13, maxiter=maxiter)
         with pytest.raises(NoConvergenceError):
             _brentq(f, -3.0, 10.0, 1e-13, 1e-13, maxiter)
+
+
+class TestLatticeStep:
+    def test_integer_atoms(self):
+        assert _lattice_step(example_servers()) == 1
+        assert _lattice_step(example_servers(), 3.0) == 1
+
+    def test_decimal_atoms_and_delay(self):
+        ds = (Deterministic(0.3), FiniteSupport(((0.1, 0.7), (1.7, 0.3))))
+        assert _lattice_step(ds, 0.1) == Fraction(1, 10)
+        assert _lattice_step(ds, 0.05) == Fraction(1, 20)
+        assert _lattice_step((Deterministic(0.6), Deterministic(0.9))) == Fraction(3, 10)
+
+    def test_shifted_atoms(self):
+        assert _lattice_step((Shifted(0.5, Deterministic(1.0)),)) == Fraction(3, 2)
+        inner = FiniteSupport(((1.0, 0.5), (2.0, 0.5)))
+        assert _lattice_step((Shifted(0.5, inner), inner)) == Fraction(1, 2)
+
+    def test_off_the_grid(self):
+        assert _lattice_step((Deterministic(1 / 3),)) is None
+        assert _lattice_step(example_servers(), 1 / 3) is None
+        # within 1e-9 of the 1e-6 grid counts as on it
+        assert _lattice_step((Deterministic(0.1 + 1e-10),)) == Fraction(1, 10)
+
+    def test_non_atomic(self):
+        assert _lattice_step((Exponential(1.0), Deterministic(1.0))) is None
+        assert _lattice_step((Shifted(0.5, Exponential(1.0)),)) is None
 
 
 class TestValidation:

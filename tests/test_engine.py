@@ -48,6 +48,7 @@ EXAMPLE = SystemConfig(
     delta=0.0,
 )
 ADAREP_EXAMPLE = AdaRep(thresholds={(0, 1): INF, (1, 0): 1.0})
+LATTICE = (Deterministic(0.3), FiniteSupport(((0.1, 0.7), (1.7, 0.3))))
 
 
 class TestSaturatedThroughput:
@@ -189,6 +190,35 @@ class TestEventTrace:
         arrivals = [t for t, ev, *_ in rows if ev == "arrive"]
         assert arrivals == sorted(arrivals)
 
+    def test_lattice_ties_share_one_timestamp(self):
+        # det(0.3) against a server that draws 0.1 three times: in floats
+        # 0.1 + 0.1 + 0.1 != 0.3, so both departures are snapped to the
+        # lattice to fall at one time, as in the decision process
+        config = SystemConfig(LATTICE, 0.1)
+        for seed in range(40):
+            rows = event_trace(config, NoRep(), horizon=0.35, seed=seed)
+            fast = [t for t, ev, _, server, _ in rows if ev == "depart" and server == 1]
+            if len(fast) == 3:
+                (slow,) = [t for t, ev, _, server, _ in rows if ev == "depart" and server == 0]
+                assert fast[2] == slow == 0.3
+                return
+        raise AssertionError("no seed drew 0.1 three times in a row")
+
+    @pytest.mark.parametrize(
+        "servers, delta, lam, snaps",
+        [
+            (EXAMPLE.servers, 1.0, 0.0, False),  # integer lattice
+            ((Deterministic(0.5), FiniteSupport(((0.25, 0.5), (1.5, 0.5)))), 0.25, 0.0, False),
+            ((HyperExp(0.6, 0.2, 0.4), Deterministic(0.3)), 0.1, 0.0, False),  # not atomic
+            (LATTICE, 0.1, 0.0, True),
+            (EXAMPLE.servers, 0.1, 0.0, True),  # the delay sets the lattice
+            (LATTICE, 0.1, 1.0, False),  # Poisson arrivals
+        ],
+        ids=["integer", "dyadic", "non-atomic", "decimal", "decimal-delay", "decimal-poisson"],
+    )
+    def test_only_saturated_runs_on_non_binary_lattices_snap(self, servers, delta, lam, snaps):
+        sim = engine._Sim(SystemConfig(servers, delta), NoRep(), 0, lam)
+        assert ("_push" in vars(sim)) == snaps
 
 def _durations(rows, server):
     """Service times of the jobs that server completed, in start order."""

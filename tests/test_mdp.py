@@ -1,18 +1,21 @@
 import hashlib
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repliq import policies
 from repliq.bounds import optimize_pause_bound
-from repliq.distributions import Deterministic, Exponential, FiniteSupport
+from repliq.distributions import Deterministic, Exponential, FiniteSupport, _lattice_step
 from repliq.engine import SystemConfig, run_saturated
 from repliq.errors import (
     MultichainError,
     NoConvergenceError,
     NonLatticeDeltaError,
+    PolicyError,
     StateExplosionError,
 )
 from repliq.mdp import (
@@ -96,6 +99,11 @@ class TestKernel:
         with pytest.raises(NonLatticeDeltaError):
             build_mdp(EXAMPLE_DISTS, 0.3)
         build_mdp(EXAMPLE_DISTS, 1.0)  # on the lattice
+
+    def test_atoms_off_the_grid(self):
+        # no lattice step to count ticks of, whatever the delay
+        with pytest.raises(NonLatticeDeltaError):
+            build_mdp((Deterministic(1 / 3), Deterministic(1.0)), 0.0)
 
 
 class TestSolver:
@@ -254,6 +262,32 @@ class TestCrossValidation:
         res = run_saturated(SystemConfig(ds, 1.0), policy, 20_000, seed=3)
         assert abs(res.throughput - solution.throughput) <= 4 * res.throughput_stderr
 
+    def test_replay_on_a_decimal_lattice(self):
+        # in floats 0.1 + 0.1 + 0.1 != 0.3: the replay must see server 2's
+        # third 0.1 release and server 1's 0.3 departure at one epoch, as
+        # the decision process does
+        kernel = build_mdp(LATTICE_DISTS, 0.1)
+        solution = solve_average_cost(kernel)
+        policy = as_tabular_policy(kernel, solution)
+        res = run_saturated(SystemConfig(LATTICE_DISTS, 0.1), policy, 20_000, seed=5)
+        assert abs(res.throughput - solution.throughput) <= 4 * res.throughput_stderr
+
+    def test_replays_match_the_optimum_on_random_lattices(self):
+        # K=2 atomic mixes on the 1, 0.5 and 0.1 lattices, delta 0 and one step
+        rng = random.Random(2024)
+        for i in range(10):
+            per_unit = (1, 2, 10)[i % 3]
+            ds = None
+            while ds is None or _lattice_step(ds) != Fraction(1, per_unit):
+                ds = (_lattice_law(rng, per_unit), _lattice_law(rng, per_unit))
+            for delta in (0.0, 1 / per_unit):
+                kernel = build_mdp(ds, delta)
+                solution = solve_average_cost(kernel)
+                policy = as_tabular_policy(kernel, solution)
+                res = run_saturated(SystemConfig(ds, delta), policy, 10_000, seed=i)
+                gap = abs(res.throughput - solution.throughput)
+                assert gap <= 4 * res.throughput_stderr, (ds, delta)
+
     def test_replay_of_non_adjacent_equal_laws(self):
         # servers 1 and 3 share a law: the table is keyed by canonical states
         # and its plans are mapped back to the observed labels
@@ -277,10 +311,32 @@ class TestCrossValidation:
         res = run_saturated(SystemConfig(EXAMPLE_DISTS, 0.0), policy, 5_000, seed=17)
         assert res.throughput > 0
 
+    def test_replay_needs_a_lattice(self, example_kernel, example_solution):
+        policy = as_tabular_policy(example_kernel, example_solution)
+        config = SystemConfig((Deterministic(2.0), Exponential(1.0)), 0.0)
+        with pytest.raises(PolicyError, match="no time lattice"):
+            run_saturated(config, policy, 100, seed=1)
+
     def test_policy_rows_cover_all_states(self, example_kernel, example_solution):
         rows = policy_rows(example_kernel, example_solution)
         assert len(rows) == example_kernel.n_states
         assert all("jobs=" in state and action for state, action in rows)
+
+
+def _lattice_law(rng, per_unit):
+    """A law on steps of 1/per_unit: half the time a straggler (one to three
+    steps mostly, eight to twelve at times), else one to three atoms among
+    1..12 steps with random weights."""
+    if rng.random() < 0.5:
+        slow = rng.choice([0.1, 0.2, 0.3])
+        atoms = ((rng.randint(1, 3), 1.0 - slow), (rng.randint(8, 12), slow))
+    else:
+        values = sorted(rng.sample(range(1, 13), rng.randint(1, 3)))
+        weights = [rng.randint(1, 9) for _ in values]
+        atoms = tuple((v, w / sum(weights)) for v, w in zip(values, weights))
+    if len(atoms) == 1:
+        return Deterministic(atoms[0][0] / per_unit)
+    return FiniteSupport(tuple((v / per_unit, p) for v, p in atoms))
 
 
 # Kernels and solutions recorded from the per-state loop solver; the array
@@ -304,7 +360,8 @@ PINNED = {
         delta=0.1,
         states=20,
         transitions=42,
-        states_sha="a4a02920d1ec26a318a4b37b2ad901afdd03f09ebfae7cd4e71e2e392cf3b554",
+        # states hold ticks of 0.1 (see test_lattice_states_read_as_times)
+        states_sha="7ce8ca22bace272821cdce423b9763a39c1a633db3b87512dd74cfd9d20af988",
         actions_sha="69593e3a274baa764a72736785d1fb5e3d0b85eb567f161b8c979d0f891b4811",
         method="rvi",
         iterations=47,
@@ -348,6 +405,17 @@ class TestPinned:
         assert sum(len(trans) for acts in kernel.actions for _, trans in acts) == pin["transitions"]
         assert _sha(kernel.states) == pin["states_sha"]
         assert _sha(kernel.actions) == pin["actions_sha"]
+
+    def test_lattice_states_read_as_times(self):
+        # the lattice kernel's states count ticks of 0.1; read as times they
+        # are the states of the kernel built on 9-digit rounded times
+        kernel = build_mdp(LATTICE_DISTS, 0.1)
+        assert kernel.step == Fraction(1, 10)
+        as_times = [
+            (jobs, tuple(t / 10 for t in elapsed), tuple(c / 10 for c in cancel), pending)
+            for jobs, elapsed, cancel, pending in kernel.states
+        ]
+        assert _sha(as_times) == "a4a02920d1ec26a318a4b37b2ad901afdd03f09ebfae7cd4e71e2e392cf3b554"
 
     def test_solution_bit_identical(self, pinned):
         pin, _, solution = pinned
