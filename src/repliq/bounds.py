@@ -9,10 +9,22 @@ Two bounding routes:
 * K identical servers: K divided by the smallest achievable expected
   per-job computing time over all nondecreasing replica start-time
   vectors (t_2, ..., t_K), entries may be infinite.
+
+The Monte-Carlo cost reuses one set of common random draws for every
+start-time vector.  The draws are made path-major, (n_paths, K) from one
+generator call, and held one contiguous row per copy, so a cost is a short
+loop of elementwise work on rows of n_paths entries (about 0.2 ms at K=6
+and 5000 paths): a running minimum for the finishing time, one overshoot
+row per launched copy, one mask per replica.  Reducing across the K
+entries of each path instead spends most of its time in numpy's per-row
+reduction set-up.  The overshoot rows are added in numpy's pairwise order
+for a row of K entries (``_row_sum``), so every cost, and with it every
+descent step and bound, has the bits of the path-major reductions.
 """
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +47,7 @@ class ThresholdPair:
     t_2to1: float
 
     def __post_init__(self):
-        if self.t_1to2 < 0 or self.t_2to1 < 0:
-            raise ValueError(f"thresholds must be >= 0, got {self}")
+        _as_pair((self.t_1to2, self.t_2to1))
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,7 @@ def adarep_pause_throughput(d1, d2, delta, thresholds) -> float:
     once it has run a seconds (pausing server 2's job), and symmetrically
     with b.  A zero threshold degenerates to full replication.
     """
+    _check_delta(delta)
     t12, t21 = _as_pair(thresholds)
     if t12 == 0.0 or t21 == 0.0:
         return 1.0 / (delta + min_expectation([d1, d2]))
@@ -87,6 +99,8 @@ def one_sided_pause_throughput(d1, d2, delta, t_2to1) -> float:
     the fraction of time it is not paused.  Equals the two-threshold
     expression at (infinity, t_2to1) by construction.
     """
+    _check_delta(delta)
+    _as_pair((INF, t_2to1))
     m2 = d2.truncated_mean(t_2to1)
     p = d2.tail(t_2to1)
     if t_2to1 > 0.0 and m2 <= 0.0:
@@ -113,6 +127,7 @@ def optimize_pause_bound(
     rel_tol relatively.  The result upper-bounds the capacity of every
     replication policy on the same two servers.
     """
+    _check_delta(delta)
     g1 = sorted(grid[0]) if grid else _threshold_grid(d1)
     g2 = sorted(grid[1]) if grid else _threshold_grid(d2)
 
@@ -174,9 +189,15 @@ def _as_pair(thresholds):
     if isinstance(thresholds, ThresholdPair):
         return thresholds.t_1to2, thresholds.t_2to1
     t12, t21 = thresholds
-    if t12 < 0 or t21 < 0:
+    if not (t12 >= 0 and t21 >= 0):
         raise ValueError(f"thresholds must be >= 0, got {thresholds}")
     return t12, t21
+
+
+def _check_delta(delta):
+    # SystemConfig's rule for the cancellation delay
+    if not 0 <= delta < INF:
+        raise ValueError(f"cancellation delay must be finite and >= 0, got {delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +213,7 @@ class StartTimeVector:
     def __post_init__(self):
         starts = tuple(float(t) for t in self.starts)
         object.__setattr__(self, "starts", starts)
-        if any(t < 0 for t in starts):
+        if not all(t >= 0 for t in starts):
             raise ValueError(f"start times must be >= 0, got {starts}")
         if any(a > b for a, b in zip(starts, starts[1:])):
             raise ValueError(f"start times must be nondecreasing, got {starts}")
@@ -225,19 +246,16 @@ def homogeneous_cost(
     sample paths.  Returns (mean, stderr); stderr is 0 for the exact
     path.
     """
+    _check_delta(delta)
     _check_paths(estimator, n_paths)
     if not isinstance(starts, StartTimeVector):
         starts = StartTimeVector(starts)
     all_starts = (0.0,) + starts.starts
 
     if estimator == "monte-carlo":
-        draws = _crn_draws
-        if draws is None:
-            rng = np.random.default_rng(seed)
-            draws = d.sample_array(rng, n_paths * len(all_starts)).reshape(
-                n_paths, len(all_starts)
-            )
-        return _cost_from_draws(draws, all_starts, delta, extra_finisher_term)
+        if _crn_draws is None:
+            _crn_draws = _crn_rows(d, len(all_starts), n_paths, seed)
+        return _cost_from_draws(_crn_draws, all_starts, delta, extra_finisher_term)
     if estimator != "exact":
         raise ValueError(f"unknown estimator {estimator!r}")
 
@@ -245,6 +263,14 @@ def homogeneous_cost(
     if atoms is not None:
         return _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term), 0.0
     return _cost_tail_integrals(d, all_starts, delta, extra_finisher_term), 0.0
+
+
+def _crn_rows(d, k, n_paths, seed):
+    # drawn path-major, the order the pinned Monte-Carlo values were recorded
+    # in, then copied to one contiguous row per copy
+    rng = np.random.default_rng(seed)
+    draws = d.sample_array(rng, n_paths * k).reshape(n_paths, k)
+    return np.ascontiguousarray(draws.T)
 
 
 def _check_paths(estimator, n_paths):
@@ -292,18 +318,50 @@ def _cost_tail_integrals(d, all_starts, delta, extra_finisher_term):
     return cost
 
 
-def _cost_from_draws(draws, all_starts, delta, extra_finisher_term):
-    starts = np.asarray(all_starts)
-    finite = starts < INF
-    shifted = draws[:, finite] + starts[finite]
-    s = shifted.min(axis=1)
-    cost = np.maximum(s[:, None] - starts[finite][None, :], 0.0).sum(axis=1)
+def _cost_from_draws(rows, all_starts, delta, extra_finisher_term):
+    # rows[i] holds copy i's draws on every path, so each step below is
+    # elementwise work on one row
+    finite = [(row, t) for row, t in zip(rows, all_starts) if t < INF]
+    s = finite[0][0] + finite[0][1]
+    for row, t in finite[1:]:
+        np.minimum(s, row + t, out=s)
+    cost = _row_sum([np.maximum(s - t, 0.0) for _, t in finite])
     if delta > 0.0 and len(all_starts) > 1:
-        launched = (starts[None, 1:] < s[:, None]).sum(axis=1)
-        extra = (starts[1] < s).astype(float) if extra_finisher_term else 0.0
-        cost = cost + delta * (launched + extra)
+        charges = np.zeros_like(s)
+        for _, t in finite[1:]:
+            charges += t < s
+        if extra_finisher_term:
+            charges += all_starts[1] < s
+        cost = cost + delta * charges
     n = len(cost)
     return float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n))
+
+
+def _row_sum(terms):
+    """Elementwise sum of the vectors in terms, added in the order of numpy's
+    pairwise summation along a row of len(terms) entries: below 8 terms left
+    to right; up to 128 terms eight strided accumulators, combined in a tree,
+    then the remainder; beyond that halves cut at a multiple of 8.  The result
+    has the bits of np.stack(terms, axis=1).sum(axis=1).  Sums into the
+    vectors in terms."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    if n < 8:
+        total = terms[0]
+        for x in terms[1:]:
+            total += x
+        return total
+    r = terms[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        for j in range(8):
+            r[j] += terms[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in terms[stop:]:
+        total += x
+    return total
 
 
 def _delta_multiplier(s, all_starts, extra_finisher_term):
@@ -334,8 +392,10 @@ def homogeneous_bound(
     from every upfront corner (first r starts zero, rest infinite).  Monte-
     Carlo evaluations reuse one common set of draws across all candidates.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"need an integer k >= 1, got {k!r}")
+    k = int(k)
+    _check_delta(delta)
     _check_paths(estimator, n_paths)
     if k == 1:
         mean, err = homogeneous_cost(
@@ -345,10 +405,9 @@ def homogeneous_bound(
         return BoundReport(value=1.0 / mean, optimizer=(), stderr=err / mean**2)
 
     candidates = sorted(set(grid)) if grid else _start_time_grid(d)
-    draws = None
+    rows = None
     if estimator == "monte-carlo":
-        rng = np.random.default_rng(seed)
-        draws = d.sample_array(rng, n_paths * k).reshape(n_paths, k)
+        rows = _crn_rows(d, k, n_paths, seed)
 
     # the cost is a pure function of the vector (Monte-Carlo reuses one draw
     # matrix), and descent sweeps revisit vectors, so cost each one once
@@ -359,7 +418,7 @@ def homogeneous_bound(
         if key not in memo:
             memo[key] = homogeneous_cost(
                 d, delta, vec, estimator, n_paths, seed,
-                extra_finisher_term=extra_finisher_term, _crn_draws=draws,
+                extra_finisher_term=extra_finisher_term, _crn_draws=rows,
             )
         return memo[key]
 

@@ -63,6 +63,10 @@ class ServiceDistribution:
     def _quantile(self, p: float) -> float:
         raise NotImplementedError
 
+    def _tail_inverse(self, s: float) -> float:
+        """Smallest x with tail(x) <= s, for s in (0, 1]."""
+        return self._quantile(1.0 - s)
+
     def residual(self, t: float) -> "ServiceDistribution":
         """Law of (X - t) given X > t; raises ZeroSupportError if tail(t) = 0."""
         if t == 0:
@@ -346,6 +350,9 @@ class Pareto(ServiceDistribution):
     def _quantile(self, p):
         return self.xm * (1.0 - p) ** (-1.0 / self.alpha)
 
+    def _tail_inverse(self, s):
+        return self.xm * s ** (-1.0 / self.alpha)
+
     def sample_array(self, rng, n):
         return self.xm * (1.0 - rng.random(n)) ** (-1.0 / self.alpha)
 
@@ -461,7 +468,10 @@ class Residual(ServiceDistribution):
         return top / self._tail_at_age
 
     def _quantile(self, p):
-        return self.base._quantile(1.0 - self._tail_at_age * (1.0 - p)) - self.age
+        # invert the base tail at tail(age)·(1 − p): forming 1 − tail(age)·(1 − p)
+        # would round to 1 once the tail at the age is below about 1e-16; the
+        # clamp catches rounding below the support's start at large ages
+        return max(0.0, self.base._tail_inverse(self._tail_at_age * (1.0 - p)) - self.age)
 
     def _residual(self, t):
         return self.base.residual(self.age + t)

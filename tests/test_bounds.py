@@ -228,6 +228,131 @@ class TestHomogeneousCost:
         assert homogeneous_cost(Exponential(1.0), 0.1, (0.5,), n_paths=n_paths)[1] == 0.0
 
 
+def path_major_cost(draws, all_starts, delta, extra_finisher_term):
+    """The Monte-Carlo cost on an (n_paths, K) draw matrix, reduced across
+    each path with numpy: the reference the row-per-copy cost must
+    reproduce bit for bit."""
+    starts = np.asarray(all_starts)
+    finite = starts < INF
+    shifted = draws[:, finite] + starts[finite]
+    s = shifted.min(axis=1)
+    cost = np.maximum(s[:, None] - starts[finite][None, :], 0.0).sum(axis=1)
+    if delta > 0.0 and len(all_starts) > 1:
+        launched = (starts[None, 1:] < s[:, None]).sum(axis=1)
+        extra = (starts[1] < s).astype(float) if extra_finisher_term else 0.0
+        cost = cost + delta * (launched + extra)
+    n = len(cost)
+    return float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n))
+
+
+class TestMonteCarloCostBits:
+    """The common draws are held one row per copy; every cost must keep the
+    bits of the path-major reductions, whose summation order changes at 8
+    and at 128 terms."""
+
+    LAWS = (HyperExp(0.6, 0.2, 0.4), FiniteSupport(((1.0, 0.9), (20.0, 0.1))), Pareto(1.0, 1.5))
+    GRID = (0.0, 0.5, 1.0, 1.7, 2.3, 5.0, 20.0, INF)
+
+    @staticmethod
+    def reference(d, delta, starts, n_paths, seed, extra):
+        all_starts = (0.0,) + tuple(starts)
+        draws = d.sample_array(np.random.default_rng(seed), n_paths * len(all_starts))
+        return path_major_cost(draws.reshape(n_paths, -1), all_starts, delta, extra)
+
+    @pytest.mark.parametrize("k", [*range(1, 11), 130])
+    def test_equals_path_major_reductions(self, k):
+        rng = np.random.default_rng(1000 + k)
+        n_paths = 2000 if k < 130 else 500
+        for trial in range(6):
+            d = self.LAWS[trial % 3]
+            starts = tuple(sorted(float(t) for t in rng.choice(self.GRID, k - 1)))
+            for delta in (0.0, 0.1):
+                for extra in (True, False):
+                    got = homogeneous_cost(
+                        d, delta, starts, "monte-carlo", n_paths, seed=trial,
+                        extra_finisher_term=extra,
+                    )
+                    want = self.reference(d, delta, starts, n_paths, trial, extra)
+                    assert got == want, (d, starts, delta, extra)
+
+    def test_every_copy_launched_past_eight_and_past_128(self):
+        # Pareto(1, 1.5) draws are >= 1, so every copy started before 1 is
+        # launched and adds a nonzero overshoot to the sum
+        d = self.LAWS[2]
+        for k in (8, 9, 17, 130):
+            starts = tuple(0.007 * j for j in range(1, k))
+            got = homogeneous_cost(d, 0.1, starts, "monte-carlo", 500, seed=k)
+            assert got == self.reference(d, 0.1, starts, 500, k, True), k
+
+    @pytest.mark.parametrize("n", [*range(1, 30), 127, 128, 129, 130, 200, 257])
+    def test_row_sum_is_numpy_row_order(self, n):
+        # per path, not only in the mean: a mean over paths can hide 1-ulp
+        # differences of single paths
+        rng = np.random.default_rng(n)
+        x = rng.random((2000, n)) * 10.0 ** rng.integers(-6, 6, (2000, n))
+        got = bounds_module._row_sum([x[:, j].copy() for j in range(n)])
+        assert np.array_equal(got, x.sum(axis=1))
+
+    def test_pinned_values(self):
+        # recorded with the path-major reductions
+        d = HyperExp(0.6, 0.2, 0.4)
+        assert homogeneous_cost(
+            d, 0.1, (0.5, 1.0, 1.0, 2.0, INF), "monte-carlo", n_paths=5000, seed=7
+        ) == (2.699267530711383, 0.037744158518671675)
+        assert homogeneous_cost(
+            d, 0.1, (0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0, INF), "monte-carlo", n_paths=5000, seed=7
+        ) == (2.76481585873659, 0.03665321963473741)
+
+
+class TestBoundInputs:
+    D = HyperExp(0.6, 0.2, 0.4)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, INF])
+    def test_homogeneous_cost_rejects_delta(self, delta):
+        for estimator in ("exact", "monte-carlo"):
+            with pytest.raises(ValueError, match="cancellation delay"):
+                homogeneous_cost(self.D, delta, (1.0,), estimator, n_paths=10)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, INF])
+    def test_homogeneous_bound_rejects_delta(self, delta):
+        with pytest.raises(ValueError, match="cancellation delay"):
+            homogeneous_bound(self.D, delta, 2)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, INF])
+    def test_pause_bounds_reject_delta(self, delta):
+        with pytest.raises(ValueError, match="cancellation delay"):
+            optimize_pause_bound(self.D, self.D, delta)
+        with pytest.raises(ValueError, match="cancellation delay"):
+            adarep_pause_throughput(self.D, self.D, delta, (1.0, 1.0))
+        with pytest.raises(ValueError, match="cancellation delay"):
+            one_sided_pause_throughput(self.D, self.D, delta, 1.0)
+
+    def test_nan_start_time(self):
+        with pytest.raises(ValueError, match="start times"):
+            StartTimeVector((math.nan,))
+        for estimator in ("exact", "monte-carlo"):
+            with pytest.raises(ValueError, match="start times"):
+                homogeneous_cost(self.D, 0.1, (1.0, math.nan), estimator, n_paths=10)
+
+    def test_nan_threshold(self):
+        with pytest.raises(ValueError, match="thresholds"):
+            ThresholdPair(math.nan, 1.0)
+        with pytest.raises(ValueError, match="thresholds"):
+            adarep_pause_throughput(self.D, self.D, 0.1, (math.nan, 1.0))
+        with pytest.raises(ValueError, match="thresholds"):
+            one_sided_pause_throughput(self.D, self.D, 0.1, math.nan)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, 0, -1, "2"])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            homogeneous_bound(self.D, 0.1, k)
+
+    def test_numpy_integer_k(self):
+        # the report holds plain floats, as for a Python int
+        rep = homogeneous_bound(self.D, 0.1, np.int64(2))
+        assert rep == homogeneous_bound(self.D, 0.1, 2) and type(rep.value) is float
+
+
 class TestHomogeneousBound:
     def test_two_exponentials_with_delay(self):
         rep = homogeneous_bound(Exponential(1.0), 0.5, 2)

@@ -330,6 +330,18 @@ class TestShippedExperiments:
         ps = sorted({float(r["p"]) for r in rows})
         assert len(ps) == 10 and math.isclose(ps[0], 0.05)
 
+    def test_monte_carlo_bound_config(self, tmp_path):
+        # the Monte-Carlo homogeneous bound on the homog_wide benchmark law,
+        # pinned like TestHomogeneousBoundPins.test_monte_carlo
+        (row,) = _run_experiment(tmp_path, "bound", "bound_hyperexp_k6_mc.cfg")
+        assert row["error"] == ""
+        assert float(row["bound"]) == 2.2283750984069166
+        assert float(row["stderr"]) == 0.031063317818026192
+        assert row["optimizer"] == (
+            "1.025937330314464;1.025937330314464;1.992881871092221;"
+            "2.7156527111834863;2.7156527111834863"
+        )
+
     def test_pareto_sweep_crossing(self, tmp_path):
         # heavy tails reward replication: full replication wins at small
         # shape, loses at large shape, with a crossing in between

@@ -175,6 +175,19 @@ class TestResidual:
         rr = r.residual(0.5)
         assert rr.age == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("age", [1e6, 1e11])
+    def test_pareto_residual_quantile_closed_form(self, age):
+        # X - a given X > a is a((1 - p)^(-1/alpha) - 1) for a Pareto law with
+        # xm <= a; at a = 1e11 the tail at the age, 3.2e-17, is below the
+        # spacing of floats under 1
+        r = Pareto(1.0, 1.5).residual(age)
+        for p in (0.1, 0.1 + 1e-9, 0.5, 0.9, 0.99):
+            want = age * math.expm1(-math.log1p(-p) / 1.5)
+            assert r.quantile(p) == pytest.approx(want, rel=1e-12)
+        assert r.quantile(0.1 + 1e-9) > r.quantile(0.1)
+        assert r.quantile(0.0) == 0.0
+        assert (r.sample_array(np.random.default_rng(3), 100) >= 0.0).all()
+
     @pytest.mark.parametrize("d", ALL_VARIANTS)
     @pytest.mark.parametrize("t", [0.25, 1.0, 1.9])
     def test_decomposition_identity(self, d, t):
