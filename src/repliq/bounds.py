@@ -10,6 +10,8 @@ Two bounding routes:
   per-job computing time over all nondecreasing replica start-time
   vectors (t_2, ..., t_K), entries may be infinite.
 
+Both are searched by _minimise over the candidates of _candidates.
+
 The Monte-Carlo cost reuses one set of common random draws for every
 start-time vector.  The draws are made path-major, (n_paths, K) from one
 generator call, and held one contiguous row per copy, so a cost is a short
@@ -22,6 +24,7 @@ for a row of K entries (``_row_sum``), so every cost, and with it every
 descent step and bound, has the bits of the path-major reductions.
 """
 
+import functools
 import itertools
 import math
 import numbers
@@ -31,6 +34,9 @@ import numpy as np
 
 from .distributions import (
     ServiceDistribution,
+    _golden,
+    _lattice_step,
+    _time_of,
     min_expectation,
     product_tail_integral,
 )
@@ -112,77 +118,25 @@ def one_sided_pause_throughput(d1, d2, delta, t_2to1) -> float:
     return (m2 / effective) / d1.mean() + 1.0 / effective
 
 
-def optimize_pause_bound(
-    d1,
-    d2,
-    delta: float = 0.0,
-    grid=None,
-    rel_tol: float = 1e-4,
-    max_rounds: int = 40,
-) -> BoundReport:
+def optimize_pause_bound(d1, d2, delta: float = 0.0) -> BoundReport:
     """Maximize the pause-and-replicate throughput over threshold pairs.
 
-    Evaluates a coarse grid per coordinate (atoms, quantiles, 0, infinity),
-    then bisects around the incumbent until the value moves less than
-    rel_tol relatively.  The result upper-bounds the capacity of every
-    replication policy on the same two servers.
+    Searches the pairs with the start-time search of homogeneous_bound
+    (_minimise over _candidates of both laws), from no replication and from
+    full replication out of either server.  The result upper-bounds the
+    capacity of every replication policy on the same two servers.
     """
-    _check_delta(delta)
-    g1 = sorted(grid[0]) if grid else _threshold_grid(d1)
-    g2 = sorted(grid[1]) if grid else _threshold_grid(d2)
-
-    def value(t12, t21):
-        return adarep_pause_throughput(d1, d2, delta, (t12, t21))
-
-    best_v, best_t = -INF, (INF, INF)
-    for t12 in g1:
-        for t21 in g2:
-            v = value(t12, t21)
-            if v > best_v * (1.0 + 1e-12):
-                best_v, best_t = v, (t12, t21)
-
-    for _ in range(max_rounds):
-        improved = best_v
-        for axis in (0, 1):
-            axis_grid = sorted({best_t[axis]} | set(g1 if axis == 0 else g2))
-            for cand in _local_candidates(axis_grid, best_t[axis]):
-                t = (cand, best_t[1]) if axis == 0 else (best_t[0], cand)
-                v = value(*t)
-                if v > best_v * (1.0 + 1e-12):
-                    best_v, best_t = v, t
-            if axis == 0:
-                g1 = sorted(set(g1) | {best_t[0]})
-            else:
-                g2 = sorted(set(g2) | {best_t[1]})
-        if best_v <= improved * (1.0 + rel_tol):
-            break
-    return BoundReport(value=best_v, optimizer=best_t)
-
-
-def _threshold_grid(d: ServiceDistribution):
-    pts = {0.0, INF}
-    atoms = d._atoms()
-    if atoms is not None:
-        pts |= {v for v, _ in atoms}
-    else:
-        pts |= {d.quantile(q) for q in np.arange(0.05, 0.96, 0.05)}
-    return sorted(map(float, pts))
-
-
-def _local_candidates(sorted_grid, incumbent):
-    i = sorted_grid.index(incumbent)
-    cands = []
-    if i > 0 and sorted_grid[i - 1] < incumbent < INF:
-        cands.append(0.5 * (sorted_grid[i - 1] + incumbent))
-    if i + 1 < len(sorted_grid):
-        nxt = sorted_grid[i + 1]
-        if nxt < INF:
-            cands.append(0.5 * (incumbent + nxt))
-        elif incumbent > 0.0 and incumbent < INF:
-            cands.append(2.0 * incumbent)
-    elif incumbent == INF and i > 0 and sorted_grid[i - 1] > 0:
-        cands.append(2.0 * sorted_grid[i - 1])
-    return cands
+    cands, refine = _candidates((d1, d2))
+    # a zero threshold is full replication whatever the other one is, a flat
+    # face no one-threshold step leaves: a start, not a candidate
+    pair, cost = _minimise(
+        lambda t: 1.0 / adarep_pause_throughput(d1, d2, delta, t),
+        cands[1:],
+        [(INF, INF), (0.0, INF), (INF, 0.0)],
+        ordered=False,
+        refine=refine,
+    )
+    return BoundReport(value=1.0 / cost, optimizer=pair)
 
 
 def _as_pair(thresholds):
@@ -381,86 +335,114 @@ def homogeneous_bound(
     n_paths: int = 100_000,
     seed: int = 0,
     grid=None,
-    rel_tol: float = 1e-5,
-    max_sweeps: int = 50,
     extra_finisher_term: bool = True,
 ) -> BoundReport:
     """Capacity bound for k identical servers: k over the minimized job cost.
 
-    Coordinate descent over nondecreasing start-time vectors on a value grid
-    (atoms or quantiles, a log-spaced fill, 0, and infinity), multi-started
-    from every upfront corner (first r starts zero, rest infinite).  Monte-
-    Carlo evaluations reuse one common set of draws across all candidates.
+    Searches nondecreasing start-time vectors (_minimise over _candidates
+    of d, or over the values in grid when given), multi-started from every
+    upfront corner (first r starts zero, rest infinite).  Monte-Carlo
+    evaluations reuse one common set of draws across all candidates.
     """
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"need an integer k >= 1, got {k!r}")
     k = int(k)
-    _check_delta(delta)
     _check_paths(estimator, n_paths)
-    if k == 1:
-        mean, err = homogeneous_cost(
-            d, delta, (), estimator, n_paths, seed,
-            extra_finisher_term=extra_finisher_term,
-        )
-        return BoundReport(value=1.0 / mean, optimizer=(), stderr=err / mean**2)
-
-    candidates = sorted(set(grid)) if grid else _start_time_grid(d)
-    rows = None
-    if estimator == "monte-carlo":
-        rows = _crn_rows(d, k, n_paths, seed)
-
-    # the cost is a pure function of the vector (Monte-Carlo reuses one draw
-    # matrix), and descent sweeps revisit vectors, so cost each one once
-    memo = {}
+    cands, refine = _candidates((d,))
+    if grid:
+        cands = sorted(set(map(float, grid)))
+    rows = _crn_rows(d, k, n_paths, seed) if estimator == "monte-carlo" else None
+    errs = {}
 
     def cost(vec):
-        key = tuple(vec)
-        if key not in memo:
-            memo[key] = homogeneous_cost(
-                d, delta, vec, estimator, n_paths, seed,
-                extra_finisher_term=extra_finisher_term, _crn_draws=rows,
-            )
-        return memo[key]
+        mean, errs[vec] = homogeneous_cost(
+            d, delta, vec, estimator, n_paths, seed,
+            extra_finisher_term=extra_finisher_term, _crn_draws=rows,
+        )
+        return mean
 
-    best_vec, best_cost, best_err = None, INF, 0.0
-    for r in range(1, k + 1):
-        vec = [0.0] * (r - 1) + [INF] * (k - r)
-        mean, err = cost(vec)
-        for _ in range(max_sweeps):
-            before = mean
-            for j in range(k - 1):
-                lo = vec[j - 1] if j > 0 else 0.0
-                hi = vec[j + 1] if j + 1 < k - 1 else INF
-                for cand in candidates:
-                    if cand < lo or cand > hi or cand == vec[j]:
-                        continue
-                    trial = list(vec)
-                    trial[j] = cand
-                    m, e = cost(trial)
-                    if m < mean * (1.0 - 1e-12):
-                        vec, mean, err = trial, m, e
-            if mean >= before * (1.0 - rel_tol):
-                break
-        if mean < best_cost * (1.0 - 1e-12):
-            best_vec, best_cost, best_err = tuple(vec), mean, err
-    return BoundReport(
-        value=k / best_cost,
-        optimizer=best_vec,
-        stderr=k * best_err / best_cost**2,
-    )
+    corners = [(0.0,) * (r - 1) + (INF,) * (k - r) for r in range(1, k + 1)]
+    vec, mean = _minimise(cost, cands, corners, ordered=True, refine=refine)
+    return BoundReport(value=k / mean, optimizer=vec, stderr=k * errs[vec] / mean**2)
 
 
-def _start_time_grid(d: ServiceDistribution):
-    pts = {0.0, INF}
-    atoms = d._atoms()
-    if atoms is not None:
-        vals = [v for v, _ in atoms]
-        pts |= set(vals)
-        pts |= {0.5 * (a + b) for a, b in zip(vals, vals[1:])}
-    else:
-        qs = [d.quantile(q) for q in np.arange(0.05, 0.96, 0.05)]
-        pts |= set(qs)
-        hi = d.quantile(0.995)
-        lo = max(min(q for q in qs if q > 0), 1e-3)
-        pts |= set(np.geomspace(lo, 4.0 * hi, 12))
-    return sorted(map(float, pts))
+_LATTICE_GUARD = 200  # most lattice steps below the largest atom searched
+
+
+def _candidates(laws):
+    """Start times (or thresholds) to search for the tuple of laws of a
+    bound, and whether to refine between them.  On a lattice of step g
+    (distributions._lattice_step): the multiples of g up to the largest
+    atom, and infinity.  The cost of each outcome is piecewise linear in
+    each start time, with kinks at t_i + v - v' and jumps at t_i + v for
+    atoms v, v', so a global minimiser lies on the lattice, and a start at
+    or after the largest atom launches no copy.  Else: the deciles and
+    breakpoints of every law, 8 log-spaced points from the least positive
+    quantile to 4 q(0.995), 0 and infinity, refined by golden section."""
+    step = _lattice_step(laws)
+    if step is not None:
+        n = round(max(v for d in laws for v, _ in d._atoms()) / step)
+        if n <= _LATTICE_GUARD:
+            return [_time_of(i, step) for i in range(n + 1)] + [INF], False
+    qs = [d.quantile(q / 10) for d in laws for q in range(1, 10)]
+    hi = max(d.quantile(0.995) for d in laws)
+    pts = {0.0, INF, *qs}
+    for d in laws:
+        pts.update(d._breakpoints())
+    positive = [q for q in qs + [hi] if q > 0]
+    if positive:
+        pts.update(np.geomspace(min(positive), 4.0 * hi, 8).tolist())
+    return sorted(map(float, pts)), True
+
+
+def _minimise(cost, cands, starts, ordered, refine):
+    """(vector, cost) of least cost(vector) over vectors with entries in the
+    sorted list cands, nondecreasing when ordered.  From each start,
+    coordinate descent sets one entry at a time to its best candidate until
+    a sweep changes none; a step must lower the cost by more than 1e-12
+    relative.  With refine, golden section then searches each finite entry
+    of the best vector between its neighbouring candidates (and entries,
+    when ordered), in at most 3 passes.  Each vector is costed once."""
+    f = functools.cache(cost)  # vectors are tuples
+
+    def limits(vec, j):
+        if not ordered:
+            return 0.0, INF
+        return (vec[j - 1] if j > 0 else 0.0), (vec[j + 1] if j + 1 < len(vec) else INF)
+
+    def better(c, than):
+        return c < than * (1.0 - 1e-12)
+
+    best, best_c = None, INF
+    for vec in starts:
+        c = f(vec)
+        moved = True
+        while moved:
+            moved = False
+            for j in range(len(vec)):
+                lo, hi = limits(vec, j)
+                for t in cands:
+                    if lo <= t <= hi and t != vec[j]:
+                        trial = vec[:j] + (t,) + vec[j + 1 :]
+                        ct = f(trial)
+                        if better(ct, c):
+                            vec, c, moved = trial, ct, True
+        if better(c, best_c):
+            best, best_c = vec, c
+
+    for _ in range(3 if refine else 0):
+        before = best_c
+        for j, t in enumerate(best):
+            if t == INF:
+                continue
+            lo, hi = limits(best, j)
+            below = [x for x in cands if x < t][-1:]
+            above = [x for x in cands if t < x < INF][:1] or [t]
+            a, b = max(below + [lo]), min(above + [hi])
+            if a < b:
+                x, cx = _golden(lambda x: f(best[:j] + (x,) + best[j + 1 :]), a, b, 1e-3 * (1.0 + t))
+                if better(cx, best_c):
+                    best, best_c = best[:j] + (x,) + best[j + 1 :], cx
+        if not better(best_c, before):
+            break
+    return best, best_c

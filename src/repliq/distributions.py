@@ -12,10 +12,10 @@ for products with no closed form (Pareto, or any of those mixed with it).
 scipy is imported in one place, where it runs: ``scipy.integrate.quad``
 inside ``product_tail_integral``'s quadrature fallback (Pareto laws, or any
 law mixed with one).  ``HyperExp.quantile`` finds its root with ``_brentq``,
-a port of ``scipy.optimize.brentq`` that returns the same bits.  Importing
-repliq loads numpy alone, and so do the closed forms, the simulator, the MDP
-and the bounds on atomic and exponential-mixture laws, the default start-time
-grids of the homogeneous and pause bounds included.
+a port of ``scipy.optimize.brentq`` that returns the same bits, and the
+bounds refine their start times with ``_golden``, a golden-section search.
+Importing repliq loads numpy alone, and so do the closed forms, the
+simulator, the MDP and the bounds on atomic and exponential-mixture laws.
 
 Every law has a positive mean.  Conventions: tail(x) = P(X > x) and equals 1
 for any x below the support; ``float('inf')`` is an admissible threshold/age
@@ -531,6 +531,25 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
     raise NoConvergenceError(f"brentq did not converge in {maxiter} iterations (x = {xcur})")
+
+
+def _golden(f, a, b, tol):
+    """(x, f(x)) of least f among the points a golden-section search (Brent,
+    Algorithms for Minimization without Derivatives, 1973) evaluates in
+    shrinking [a, b] to width tol: the minimum when f is unimodal there."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _fmt(x: float) -> str:

@@ -71,9 +71,9 @@ class MdpSolution:
 def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     """Breadth-first reachable kernel from the all-idle state.
 
-    Requires every service law to be atomic, with atoms on the 1e-6 grid,
-    and the cancellation delay to be a whole multiple of the atoms' lattice
-    step g (distributions._lattice_step).  Elapsed times, cancellation
+    Requires every service law to be atomic, with its atoms and the
+    cancellation delay on the 1e-6 grid; g is their lattice step
+    (distributions._lattice_step).  Elapsed times, cancellation
     windows and residual atoms are counted in ticks of g, held as integral
     floats, so sums of times are exact; times appear only in the costs and
     in state_string.  When two servers share a law, every state is interned
@@ -89,11 +89,9 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
             raise ValueError(f"decision process needs finite-support laws, got {d}")
     if delta < 0:
         raise NonLatticeDeltaError(f"cancellation delay must be >= 0, got {delta}")
-    step = _lattice_step(ds, 0.0)
+    step = _lattice_step(ds, delta)
     if step is None:
-        raise NonLatticeDeltaError(f"atom values of {ds} are not on the 1e-6 grid")
-    if _lattice_step(ds, delta) != step:
-        raise NonLatticeDeltaError(f"delta {delta} is not a lattice multiple of the atom values")
+        raise NonLatticeDeltaError(f"atom values of {ds} and delta {delta} are not on the 1e-6 grid")
     g = float(step)
     window = float(_ticks(delta, g))
     k = len(ds)

@@ -335,11 +335,12 @@ class TestShippedExperiments:
         # pinned like TestHomogeneousBoundPins.test_monte_carlo
         (row,) = _run_experiment(tmp_path, "bound", "bound_hyperexp_k6_mc.cfg")
         assert row["error"] == ""
-        assert float(row["bound"]) == 2.2283750984069166
-        assert float(row["stderr"]) == 0.031063317818026192
+        assert float(row["bound"]) == 2.23104514677095
+        assert float(row["bound"]) >= 2.2283750984069166  # the grid-and-descent value
+        assert float(row["stderr"]) == 0.03129694060228212
         assert row["optimizer"] == (
-            "1.025937330314464;1.025937330314464;1.992881871092221;"
-            "2.7156527111834863;2.7156527111834863"
+            "1.0611564168488834;1.1609229506290026;2.2889878508766826;"
+            "3.0235727548624207;3.0235727548624207"
         )
 
     def test_pareto_sweep_crossing(self, tmp_path):

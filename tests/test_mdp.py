@@ -97,8 +97,15 @@ class TestKernel:
 
     def test_delta_off_lattice(self):
         with pytest.raises(NonLatticeDeltaError):
-            build_mdp(EXAMPLE_DISTS, 0.3)
+            build_mdp(EXAMPLE_DISTS, 1 / 3)
         build_mdp(EXAMPLE_DISTS, 1.0)  # on the lattice
+
+    def test_delta_finer_than_the_atoms(self):
+        # the ticks are the gcd of the atoms and the delay together
+        kernel = build_mdp(EXAMPLE_DISTS, 0.3)
+        assert kernel.n_states == 22 and kernel.step == Fraction(1, 10)
+        rate = solve_average_cost(kernel).throughput
+        assert rate <= optimize_pause_bound(*EXAMPLE_DISTS, 0.3).value
 
     def test_atoms_off_the_grid(self):
         # no lattice step to count ticks of, whatever the delay
@@ -261,6 +268,18 @@ class TestCrossValidation:
         policy = as_tabular_policy(kernel, solution)
         res = run_saturated(SystemConfig(ds, 1.0), policy, 20_000, seed=3)
         assert abs(res.throughput - solution.throughput) <= 4 * res.throughput_stderr
+
+    def test_replay_with_a_delay_finer_than_the_atoms(self):
+        # atoms 3, 6 and 12 with delta 1 run on ticks of 1; no policy beats
+        # no replication, the optimum meets the pause bound
+        ds = (FiniteSupport(((3.0, 0.4), (12.0, 0.6))), Deterministic(6.0))
+        kernel = build_mdp(ds, 1.0)
+        solution = solve_average_cost(kernel)
+        assert kernel.n_states == 6
+        assert solution.throughput == pytest.approx(optimize_pause_bound(*ds, 1.0).value, rel=1e-9)
+        policy = as_tabular_policy(kernel, solution)
+        res = run_saturated(SystemConfig(ds, 1.0), policy, 20_000, seed=3)
+        assert abs(res.throughput - solution.throughput) <= 3 * res.throughput_stderr
 
     def test_replay_on_a_decimal_lattice(self):
         # in floats 0.1 + 0.1 + 0.1 != 0.3: the replay must see server 2's
