@@ -36,6 +36,7 @@ from .distributions import (
     ServiceDistribution,
     _golden,
     _lattice_step,
+    _ticks,
     _time_of,
     min_expectation,
     product_tail_integral,
@@ -215,7 +216,8 @@ def homogeneous_cost(
 
     atoms = d._atoms()
     if atoms is not None:
-        return _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term), 0.0
+        step = _lattice_step((d,))
+        return _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term, step), 0.0
     return _cost_tail_integrals(d, all_starts, delta, extra_finisher_term), 0.0
 
 
@@ -233,19 +235,31 @@ def _check_paths(estimator, n_paths):
         raise ValueError(f"monte-carlo needs n_paths >= 2, got {n_paths}")
 
 
-def _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term):
+def _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term, step):
+    """Exact cost for atoms on a lattice of step step (None off one).  As
+    in the simulator, on a lattice that is no binary fraction a copy started
+    on it ends at the float nearest its multiple of step, so that a start
+    and an end due at one lattice point compare equal: 0.2 + 0.1 is not 0.3
+    in floats."""
     active = [t for t in all_starts if t < INF]
     if len(atoms) ** len(active) > _ENUM_GUARD:
         raise ValueError(
             f"{len(atoms)}^{len(active)} outcomes exceeds the enumeration guard"
         )
+    ends = [[(v + t, p) for v, p in atoms] for t in active]
+    if step is not None and float(step) != step:
+        g = float(step)
+        for i, t in enumerate(active):
+            n = _ticks(t, g)
+            if _time_of(n, step) == t:
+                ends[i] = [(_time_of(n + _ticks(v, g), step), p) for v, p in atoms]
     total = 0.0
-    for combo in itertools.product(atoms, repeat=len(active)):
+    for combo in itertools.product(*ends):
         prob = 1.0
         s = INF
-        for (v, p), t in zip(combo, active):
+        for end, p in combo:
             prob *= p
-            s = min(s, v + t)
+            s = min(s, end)
         cost = sum(max(s - t, 0.0) for t in active)
         cost += delta * _delta_multiplier(s, all_starts, extra_finisher_term)
         total += prob * cost
@@ -371,7 +385,9 @@ _LATTICE_GUARD = 200  # most lattice steps below the largest atom searched
 
 def _candidates(laws):
     """Start times (or thresholds) to search for the tuple of laws of a
-    bound, and whether to refine between them.  On a lattice of step g
+    bound, and how to refine between them: False, or the lattice step of
+    atomic laws whose lattice is too fine to list (True off a lattice).
+    On a lattice of step g
     (distributions._lattice_step): the multiples of g up to the largest
     atom, and infinity.  The cost of each outcome is piecewise linear in
     each start time, with kinks at t_i + v - v' and jumps at t_i + v for
@@ -392,7 +408,7 @@ def _candidates(laws):
     positive = [q for q in qs + [hi] if q > 0]
     if positive:
         pts.update(np.geomspace(min(positive), 4.0 * hi, 8).tolist())
-    return sorted(map(float, pts)), True
+    return sorted(map(float, pts)), step or True
 
 
 def _minimise(cost, cands, starts, ordered, refine):
@@ -402,7 +418,10 @@ def _minimise(cost, cands, starts, ordered, refine):
     a sweep changes none; a step must lower the cost by more than 1e-12
     relative.  With refine, golden section then searches each finite entry
     of the best vector between its neighbouring candidates (and entries,
-    when ordered), in at most 3 passes.  Each vector is costed once."""
+    when ordered), in at most 3 passes; when refine is a lattice step, the
+    multiples of it just below and above the section's point are tried
+    too, and one of them is kept unless it costs more.  Each vector is
+    costed once."""
     f = functools.cache(cost)  # vectors are tuples
 
     def limits(vec, j):
@@ -440,7 +459,13 @@ def _minimise(cost, cands, starts, ordered, refine):
             above = [x for x in cands if t < x < INF][:1] or [t]
             a, b = max(below + [lo]), min(above + [hi])
             if a < b:
-                x, cx = _golden(lambda x: f(best[:j] + (x,) + best[j + 1 :]), a, b, 1e-3 * (1.0 + t))
+                line = lambda x: f(best[:j] + (x,) + best[j + 1 :])
+                x, cx = _golden(line, a, b, 1e-3 * (1.0 + t))
+                if refine is not True:  # atomic laws: a minimiser lies on their lattice
+                    ticks = x / float(refine)
+                    for m in (_time_of(math.floor(ticks), refine), _time_of(math.ceil(ticks), refine)):
+                        if lo <= m <= hi and line(m) <= cx:
+                            x, cx = m, line(m)
                 if better(cx, best_c):
                     best, best_c = best[:j] + (x,) + best[j + 1 :], cx
         if not better(best_c, before):

@@ -186,11 +186,19 @@ class _Sim:
     # -- decisions -------------------------------------------------------------
 
     def _observation(self, server, now, can_new):
+        # tuple.__new__ fills the named tuples without their Python-level
+        # __new__, which costs more than the tuple itself on this path
         if self.snapshot is None:
             views = []
             for job in self.jobs.values():
-                elapsed = tuple([now - st for st in job.starts])
-                views.append(JobView(job.id, job.origin, job.servers, elapsed, elapsed[0]))
+                starts = job.starts
+                if len(starts) == 1:
+                    elapsed = (now - starts[0],)
+                else:
+                    elapsed = tuple([now - st for st in starts])
+                views.append(
+                    tuple.__new__(JobView, (job.id, job.origin, job.servers, elapsed, elapsed[0]))
+                )
             status = self.status
             idle = tuple([i for i in range(self.k) if status[i] == _IDLE])
             cancelling = ()
@@ -200,7 +208,9 @@ class _Sim:
                 )
             self.snapshot = (idle, tuple(views), cancelling)
         idle, views, cancelling = self.snapshot
-        return Observation(server, idle, views, can_new, self.dists, self.delta, cancelling)
+        return tuple.__new__(
+            Observation, (server, idle, views, can_new, self.dists, self.delta, cancelling)
+        )
 
     def _scan(self, now):
         self.snapshot = None

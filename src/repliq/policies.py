@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .analytic import Partition
-from .distributions import _fmt, _lattice_step, _ticks, min_expectation
+from .distributions import _fmt, _lattice_step, min_expectation
 from .errors import InconsistentObservationError, PolicyError
 
 INF = float("inf")
@@ -148,23 +148,38 @@ class MaxRate(Policy):
         return "" if self.include_cancel_delay else "nodelta"
 
     def decide(self, obs):
+        jobs = obs.jobs
         mine = (obs.server,)
-        candidates = []
+        if not jobs:
+            return Decision("plan", ((mine, "new"),)) if obs.can_new else WAIT
+        dists = obs.dists
+        delta = obs.delta if self.include_cancel_delay else 0.0
+        added = ((obs.server, 0.0),)
+        # each job's rate as it is and with the offered server added, then
+        # every candidate's rate summed in instantaneous_rate's order (0.0,
+        # each job's term, the new job's term), so each is the same float
+        stay, grow = [], []
+        base = 0.0
+        for jv in jobs:
+            replicas = tuple(zip(jv.servers, jv.elapsed))
+            term = 1.0 / _expected_departure(replicas, dists, delta)
+            stay.append(term)
+            grow.append(1.0 / _expected_departure(replicas + added, dists, delta))
+            base += term
         if obs.can_new:
-            candidates.append(Decision("plan", ((mine, "new"),)))
-        elif obs.jobs:
-            candidates.append(WAIT)
-        for jv in obs.jobs:
-            candidates.append(Decision("plan", ((mine, jv.job_id),)))
-        if not candidates:
-            return WAIT
-        best = candidates[0]
-        best_rate = instantaneous_rate(obs, best, self.include_cancel_delay)
-        for cand in candidates[1:]:
-            rate = instantaneous_rate(obs, cand, self.include_cancel_delay)
+            base += 1.0 / _expected_departure(added, dists, delta)
+        best, best_rate = None, base
+        head = 0.0
+        for j, jv in enumerate(jobs):
+            rate = head + grow[j]
+            for term in stay[j + 1 :]:
+                rate += term
             if rate > best_rate * (1.0 + 1e-12):
-                best, best_rate = cand, rate
-        return best
+                best, best_rate = jv.job_id, rate
+            head += stay[j]
+        if best is not None:
+            return Decision("plan", ((mine, best),))
+        return Decision("plan", ((mine, "new"),)) if obs.can_new else WAIT
 
 
 @dataclass(frozen=True)
@@ -240,13 +255,13 @@ class AdaRep(Policy):
 class TabularPolicy(Policy):
     """Policy given as an explicit state -> refill-plan table.
 
-    State keys are (job server-sets, per-server elapsed, per-server
-    cancelling remaining), times in ticks of the laws' lattice step (see
-    observation_state_key); plans list (server group, "new" | job server-set)
-    pairs covering every assignable server.  With law classes (see
-    law_classes) the table holds canonical states only: an observed state
-    outside it takes the plan of its canonical form, mapped back to the
-    observed server labels and remembered under the observed key.
+    State keys are (sorted job server-sets, per-server elapsed, per-server
+    cancelling remaining), times in whole ticks of the laws' lattice step
+    (distributions._lattice_step); plans list (server group, "new" | job
+    server-set) pairs covering every assignable server.  With law classes
+    (see law_classes) the table holds canonical states only: an observed
+    state outside it takes the plan of its canonical form, mapped back to
+    the observed server labels and remembered under the observed key.
     """
 
     table: tuple
@@ -254,7 +269,7 @@ class TabularPolicy(Policy):
     name = "tabular"
 
     def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.table))
+        object.__setattr__(self, "_lookup", {key: _entry(plan) for key, plan in self.table})
         # (laws, delay, float lattice step) of the last observation: a run
         # shares one laws tuple, so the step is looked up once, not per call
         object.__setattr__(self, "_lattice", (None, None, None))
@@ -270,61 +285,66 @@ class TabularPolicy(Policy):
                 raise PolicyError(f"no time lattice for the laws {obs.dists} at delay {obs.delta}")
             g = float(step)
             object.__setattr__(self, "_lattice", (obs.dists, obs.delta, g))
-        key = observation_state_key(obs, g)
-        plan = self._lookup.get(key)
-        if plan is None:
-            plan = self._relabelled_plan(key)
-        by_servers = None
+        k = len(obs.dists)
+        elapsed = [0] * k
+        sets = []
+        for jv in obs.jobs:
+            for s, e in zip(jv.servers, jv.elapsed):
+                elapsed[s] = round(e / g)
+            sets.append(tuple(sorted(jv.servers)))
+        cancel = [0] * k
+        for s, rem in obs.cancelling:
+            cancel[s] = round(rem / g)
+        key = (tuple(sorted(sets)), tuple(elapsed), tuple(cancel))
+        entry = self._lookup.get(key)
+        if entry is None:
+            entry = self._relabelled_entry(key)
+        decision, plan = entry
+        if decision is not None:
+            return decision
         resolved = []
         for group, target in plan:
-            if target == "new":
-                resolved.append((tuple(group), "new"))
-                continue
-            if by_servers is None:
-                by_servers = {tuple(sorted(jv.servers)): jv.job_id for jv in obs.jobs}
-            job_id = by_servers.get(tuple(sorted(target)))
-            if job_id is None:
-                raise PolicyError(f"plan references missing job on servers {target}")
-            resolved.append((tuple(group), job_id))
-        return Decision("plan", plan=tuple(resolved))
+            if target != "new":
+                if target not in sets:
+                    raise PolicyError(f"plan references missing job on servers {target}")
+                target = obs.jobs[sets.index(target)].job_id
+            resolved.append((group, target))
+        return Decision("plan", tuple(resolved))
 
-    def _relabelled_plan(self, key):
-        """The plan of key's canonical form in key's server labels, kept
+    def _relabelled_entry(self, key):
+        """The entry of key's canonical form in key's server labels, kept
         under key for the next visit."""
-        plan = None
+        entry = None
         if self.classes is not None:
             canon, perm = canonical_state(key, self.classes)
-            plan = self._lookup.get(canon)
-        if plan is None:
+            entry = self._lookup.get(canon)
+        if entry is None:
             raise PolicyError(f"no action tabulated for state {key}")
         label = [0] * len(perm)  # canonical label -> observed server
         for s, slot in enumerate(perm):
             label[slot] = s
-        plan = tuple(
+        entry = _entry(
             (
-                tuple([label[s] for s in group]),
-                target if target == "new" else tuple(sorted([label[s] for s in target])),
+                [label[s] for s in group],
+                target if target == "new" else [label[s] for s in target],
             )
-            for group, target in plan
+            for group, target in entry[1]
         )
-        self._lookup[key] = plan
-        return plan
+        self._lookup[key] = entry
+        return entry
 
 
-def observation_state_key(obs: Observation, g: float):
-    """(jobs, elapsed, cancelling) key matching the decision process's
-    states: times in whole ticks of g, the lattice step of the laws and the
-    delay (distributions._lattice_step)."""
-    k = len(obs.dists)
-    elapsed = [0] * k
-    for jv in obs.jobs:
-        for s, e in zip(jv.servers, jv.elapsed):
-            elapsed[s] = _ticks(e, g)
-    cancel = [0] * k
-    for s, rem in obs.cancelling:
-        cancel[s] = _ticks(rem, g)
-    jobs = tuple(sorted(tuple(sorted(jv.servers)) for jv in obs.jobs))
-    return (jobs, tuple(elapsed), tuple(cancel))
+def _entry(plan):
+    """(Decision or None, plan) for a table plan: groups as tuples, job
+    targets as sorted server tuples, and the Decision built once when the
+    plan only starts new jobs."""
+    plan = tuple(
+        (tuple(group), target if target == "new" else tuple(sorted(target)))
+        for group, target in plan
+    )
+    if all(target == "new" for _, target in plan):
+        return Decision("plan", plan), plan
+    return None, plan
 
 
 def law_classes(dists):

@@ -502,6 +502,49 @@ class TestBoundAboveTheOptimum:
         assert least >= 3 / rep.value * (1 - 1e-12)
 
 
+class TestStartTimesOnTheLattice:
+    """Atomic laws on the 0.1 lattice: a minimiser of the start-time cost
+    lies on the lattice, and the search ends there."""
+
+    FINE = FiniteSupport(((0.1, 0.99), (1000.0, 0.01)))  # 10,000 steps: quantile rule
+    COARSE = FiniteSupport(((0.1, 0.99), (10.0, 0.01)))  # 100 steps: lattice rule
+
+    @staticmethod
+    def on_lattice(vec):
+        return all(t == INF or t == round(t * 10) / 10 for t in vec)
+
+    def test_refined_starts_snap_to_the_lattice(self):
+        # golden section alone stopped at (0.1, 0.2002, 0.4548), 38.43161501781608
+        rep = homogeneous_bound(self.FINE, 0.1, 4)
+        assert rep.value >= 38.43168738743118  # the lattice vector (0.1, 0.2, 0.4)
+        assert self.on_lattice(rep.optimizer)
+        assert rep.value == 4 / homogeneous_cost(self.FINE, 0.1, rep.optimizer)[0]
+
+    def test_lattice_rule_finds_the_start_where_a_copy_ends(self):
+        # with 0.2 + 0.1 taken as later than 0.3, the search stopped at
+        # (0.1, 0.2, 0.4), 38.446315199423914
+        rep = homogeneous_bound(self.COARSE, 0.1, 4)
+        assert self.on_lattice(rep.optimizer)
+        assert rep.value > 4 / homogeneous_cost(self.COARSE, 0.1, (0.1, 0.2, 0.4))[0]
+
+    @pytest.mark.parametrize("d", [FINE, COARSE])
+    def test_a_start_where_a_copy_ends_launches_nothing(self, d):
+        # 0.2 + 0.1 is 0.30000000000000004 in floats: a copy due at 0.3 must
+        # see the second copy's 0.1 atom end there, not after it
+        at, after = (0.1, 0.2, 0.3), (0.1, 0.2, 0.1 + 0.2)
+        assert homogeneous_cost(d, 0.1, at) == homogeneous_cost(d, 0.1, after)
+
+    def test_benchmark_bounds_do_not_move(self):
+        # homog_wide's law has no lattice; mdp_exact's pause bounds take the
+        # lattice rule, whose candidates are never refined
+        rep = homogeneous_bound(HyperExp(0.6, 0.2, 0.4), 0.1, 6)
+        assert rep.value == 2.2581058275278525
+        assert optimize_pause_bound(*EXAMPLE, 0.0).value == 1.25
+        lattice = (Deterministic(0.3), FiniteSupport(((0.1, 0.7), (1.7, 0.3))))
+        pause = optimize_pause_bound(*lattice, 0.1)
+        assert (pause.value, pause.optimizer) == (6.060606060606061, (INF, 0.1))
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.1])
 @pytest.mark.parametrize(
     "d",

@@ -34,8 +34,10 @@ from repliq.policies import (
     AdaRep,
     Decision,
     FullRep,
+    JobView,
     MaxRate,
     NoRep,
+    Observation,
     Policy,
     UpfrontRep,
     WAIT,
@@ -239,6 +241,42 @@ class _OnlyServerZero(Policy):
         if obs.server == 0 and obs.can_new:
             return Decision("plan", (((0,), "new"),))
         return WAIT
+
+
+class _Collector(Policy):
+    """Threshold replication, one extra copy after 1 time unit, that keeps
+    every observation it is offered."""
+
+    name = "collector"
+
+    def __init__(self):
+        self.seen = []
+        self.inner = AdaRep(homogeneous=(1.0, INF))
+
+    def decide(self, obs):
+        self.seen.append(obs)
+        return self.inner.decide(obs)
+
+
+class TestObservations:
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_engine_hands_out_named_tuples(self, delta):
+        # the engine fills the named tuples without their __new__: they must
+        # still be the classes, with their fields in order
+        policy = _Collector()
+        servers = EXAMPLE.servers + EXAMPLE.servers[1:]  # three: a two-copy job leaves one idle
+        run_saturated(SystemConfig(servers, delta), policy, 500, seed=3)
+        with_jobs = [o for o in policy.seen if o.jobs]
+        assert with_jobs and all(type(o) is Observation for o in policy.seen)
+        assert all(type(jv) is JobView for o in with_jobs for jv in o.jobs)
+        for o in with_jobs:
+            o.validate()
+            for jv in o.jobs:
+                assert len(jv.elapsed) == len(jv.servers) and jv.elapsed[0] == jv.elapsed_original
+        assert any(len(jv.servers) == 2 for o in with_jobs for jv in o.jobs)
+        if delta:
+            assert any(o.cancelling for o in policy.seen)
+            assert all(type(o.cancelling) is tuple for o in policy.seen)
 
 
 class TestRandomStreams:

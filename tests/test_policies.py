@@ -1,9 +1,22 @@
+import pathlib
+import random
+
 import pytest
 
 from repliq.analytic import Partition
-from repliq.distributions import Deterministic, Exponential, FiniteSupport
-from repliq.errors import InconsistentObservationError
+from repliq.config import parse_config
+from repliq.distributions import (
+    Deterministic,
+    Exponential,
+    FiniteSupport,
+    HyperExp,
+    _lattice_step,
+)
+from repliq.engine import SystemConfig, run_saturated
+from repliq.errors import InconsistentObservationError, PolicyError
+from repliq.mdp import as_tabular_policy, build_mdp, solve_average_cost
 from repliq.policies import (
+    WAIT,
     AdaRep,
     Decision,
     FullRep,
@@ -11,7 +24,10 @@ from repliq.policies import (
     MaxRate,
     NoRep,
     Observation,
+    Policy,
+    TabularPolicy,
     UpfrontRep,
+    canonical_state,
     decide,
     instantaneous_rate,
     parse_policy,
@@ -194,6 +210,226 @@ class TestMaxRate:
         rep_rate = instantaneous_rate(o, Decision("plan", (((0,), 0),)))
         assert wait_rate > rep_rate
         assert decide(MaxRate(), o).kind == "wait"
+
+
+def reference_maxrate(obs, include_cancel_delay=True):
+    """MaxRate.decide as it was before its one-pass form: every candidate
+    scored by instantaneous_rate, the first of the best kept."""
+    mine = (obs.server,)
+    candidates = []
+    if obs.can_new:
+        candidates.append(Decision("plan", ((mine, "new"),)))
+    elif obs.jobs:
+        candidates.append(WAIT)
+    for jv in obs.jobs:
+        candidates.append(Decision("plan", ((mine, jv.job_id),)))
+    if not candidates:
+        return WAIT
+    best = candidates[0]
+    best_rate = instantaneous_rate(obs, best, include_cancel_delay)
+    for cand in candidates[1:]:
+        rate = instantaneous_rate(obs, cand, include_cancel_delay)
+        if rate > best_rate * (1.0 + 1e-12):
+            best, best_rate = cand, rate
+    return best
+
+
+def _random_law(rng, family):
+    if family == "hyperexp":
+        return HyperExp(rng.choice((0.5, 1.0, 2.0)), rng.choice((0.1, 0.2)), rng.choice((0.1, 0.4)))
+    if rng.random() < 0.3:
+        return Deterministic(float(rng.randint(1, 4)))
+    small = rng.randint(1, 3)
+    return FiniteSupport(((float(small), 0.9), (float(small + rng.randint(1, 20)), 0.1)))
+
+
+def _largest(law):
+    atoms = law._atoms()
+    return INF if atoms is None else max(v for v, _ in atoms)
+
+
+def random_observation(rng, tie=False):
+    """An observation the engine could hand out: K = 2..5 servers, 0..3 jobs
+    of 1..3 copies on servers other than the offered one, each copy's
+    elapsed time below its law's largest atom and no larger than the
+    first copy's.  With tie, every server has one law and every job one
+    copy of one elapsed time, so candidates tie exactly."""
+    k = rng.randint(2, 5)
+    family = rng.choice(("atomic", "hyperexp"))
+    if tie:
+        dists = (_random_law(rng, family),) * k
+    else:
+        dists = tuple(_random_law(rng, family) for _ in range(k))
+    server = rng.randrange(k)
+    free = [s for s in range(k) if s != server]
+    rng.shuffle(free)
+    n_jobs = rng.randint(0, min(3, len(free)))
+    common = rng.choice((0.0, 0.5, 1.0))
+    jobs = []
+    for i in range(n_jobs):
+        n_copies = 1 if tie else rng.randint(1, min(3, len(free) - (n_jobs - i - 1)))
+        servers = tuple(free.pop() for _ in range(n_copies))
+        if tie:
+            elapsed = (min(common, _largest(dists[servers[0]]) - 0.5),)
+        else:
+            elapsed = []
+            for s in servers:
+                e = rng.randrange(int(2 * min(_largest(dists[s]), 6))) / 2
+                elapsed.append(min([e] + elapsed))
+        jobs.append(job(10 * i + rng.randint(0, 9), servers[0], servers, elapsed))
+    return obs(server, jobs, dists=dists, can_new=rng.random() < 0.6, delta=rng.choice((0.0, 0.5)))
+
+
+class TestMaxRateSinglePass:
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_same_decisions_as_scoring_every_candidate(self, tie):
+        rng = random.Random(1405 + tie)
+        kinds = set()
+        ties = 0
+        for _ in range(300):
+            o = random_observation(rng, tie)
+            for flag in (True, False):
+                got = MaxRate(include_cancel_delay=flag).decide(o)
+                assert got == reference_maxrate(o, flag), (o, flag)
+                kinds.add("wait" if got.kind == "wait" else type(got.plan[0][1]).__name__)
+            if len(o.jobs) >= 2:
+                rates = [
+                    instantaneous_rate(o, Decision("plan", (((o.server,), jv.job_id),)))
+                    for jv in o.jobs
+                ]
+                ties += len(set(rates)) < len(rates)
+        assert kinds == {"wait", "str", "int"}
+        if tie:
+            assert ties > 0
+
+    def test_new_and_replica_tie_on_memoryless_laws(self):
+        # exponential servers: a replica and a new job give the same rate,
+        # and the first candidate, the new job, is kept
+        dists = (Exponential(1.0),) * 3
+        o = obs(2, jobs=(job(4, 0, (0,), (0.7,)), job(9, 1, (1,), (2.5,))), dists=dists)
+        assert MaxRate().decide(o) == reference_maxrate(o) == Decision("plan", (((2,), "new"),))
+
+
+def reference_state_key(obs, g):
+    """The tabular policy's state key as observation_state_key built it
+    before the key moved into TabularPolicy.decide."""
+    k = len(obs.dists)
+    elapsed = [0] * k
+    for jv in obs.jobs:
+        for s, e in zip(jv.servers, jv.elapsed):
+            elapsed[s] = round(e / g)
+    cancel = [0] * k
+    for s, rem in obs.cancelling:
+        cancel[s] = round(rem / g)
+    jobs = tuple(sorted(tuple(sorted(jv.servers)) for jv in obs.jobs))
+    return (jobs, tuple(elapsed), tuple(cancel))
+
+
+def reference_tabular(policy, obs):
+    """TabularPolicy.decide as it was: look the key up in the table (or its
+    canonical form, relabelled), then find each target job through a
+    server-set -> job id dict."""
+    key = reference_state_key(obs, float(_lattice_step(obs.dists, obs.delta)))
+    table = dict(policy.table)
+    plan = table.get(key)
+    if plan is None:
+        if policy.classes is not None:
+            canon, perm = canonical_state(key, policy.classes)
+            plan = table.get(canon)
+        if plan is None:
+            raise PolicyError(f"no action tabulated for state {key}")
+        label = [0] * len(perm)
+        for s, slot in enumerate(perm):
+            label[slot] = s
+        plan = tuple(
+            (
+                tuple([label[s] for s in group]),
+                target if target == "new" else tuple(sorted([label[s] for s in target])),
+            )
+            for group, target in plan
+        )
+    by_servers = {tuple(sorted(jv.servers)): jv.job_id for jv in obs.jobs}
+    resolved = []
+    for group, target in plan:
+        if target == "new":
+            resolved.append((tuple(group), "new"))
+            continue
+        job_id = by_servers.get(tuple(sorted(target)))
+        if job_id is None:
+            raise PolicyError(f"plan references missing job on servers {target}")
+        resolved.append((tuple(group), job_id))
+    return Decision("plan", tuple(resolved))
+
+
+class _Recorder(Policy):
+    """Asks the wrapped policy and keeps every observation and answer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def decide(self, obs):
+        dec = self.inner.decide(obs)
+        self.seen.append((obs, dec))
+        return dec
+
+
+def _lattice_cfg_dists():
+    text = (pathlib.Path(__file__).resolve().parent.parent / "experiments/mdp_lattice.cfg").read_text()
+    system = parse_config(text).materialize_system(None)
+    return system.servers, system.delta
+
+
+LAW_B = FiniteSupport(((1.0, 0.8), (8.0, 0.2)))
+
+
+class TestTabularDecisions:
+    @pytest.mark.parametrize(
+        "case", ["example", "four_identical", "lattice_cfg"]
+    )
+    def test_same_decisions_as_the_dict_resolution(self, case):
+        if case == "example":
+            ds, delta = EXAMPLE_DISTS, 0.0
+        elif case == "four_identical":
+            ds, delta = (LAW_B,) * 4, 0.0
+        else:
+            ds, delta = _lattice_cfg_dists()
+            assert delta == 0.1
+        kernel = build_mdp(ds, delta)
+        solution = solve_average_cost(kernel)
+        recorder = _Recorder(as_tabular_policy(kernel, solution))
+        run_saturated(SystemConfig(ds, delta), recorder, 3_000, seed=14)
+        fresh = as_tabular_policy(kernel, solution)
+        table_keys = {key for key, _ in fresh.table}
+        g = float(_lattice_step(ds, delta))
+        relabelled = replicas = 0
+        for o, dec in recorder.seen:
+            expected = reference_tabular(fresh, o)
+            assert dec == expected
+            assert fresh.decide(o) == expected
+            relabelled += reference_state_key(o, g) not in table_keys
+            replicas += any(target != "new" for _, target in expected.plan)
+        assert replicas > 0
+        if case == "four_identical":
+            assert relabelled > 0
+
+    def test_missing_job_raises(self):
+        # the job on server 1 (ticks of 1 on the example's lattice) is found
+        # by its server set; a plan naming servers no job holds is refused
+        key = (((0,),), (2, 0), (0, 0))
+        o = obs(1, jobs=(job(3, 0, (0,), (2.0,)),))
+        found = TabularPolicy(table=((key, (((1,), (0,)),)),))
+        assert found.decide(o) == Decision("plan", (((1,), 3),))
+        stale = TabularPolicy(table=((key, (((1,), (0, 1)),)),))
+        with pytest.raises(PolicyError, match="missing job"):
+            stale.decide(o)
+
+    def test_untabulated_state_raises(self):
+        policy = TabularPolicy(table=())
+        with pytest.raises(PolicyError, match="no action tabulated"):
+            policy.decide(obs(0))
+        with pytest.raises(PolicyError, match="no action tabulated"):
+            TabularPolicy(table=(), classes=(0, 0)).decide(obs(0, dists=(LAW_B, LAW_B)))
 
 
 class TestObservationValidation:
