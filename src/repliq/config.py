@@ -129,6 +129,9 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.mode = mode
     if "lambdas" in values:
         cfg.lambdas = tuple(_parse_number_list(values["lambdas"]))
+        for lam in cfg.lambdas:
+            if not 0 < lam < math.inf:
+                raise ConfigError(f"every lambda must be finite and > 0, got {lam}")
     for key in ("jobs", "runs", "seed", "paths"):
         if key in values:
             try:

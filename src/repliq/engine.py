@@ -7,6 +7,17 @@ assignable servers are offered to the policy in ascending index order once
 all events at a timestamp have been handled.  Identical (config, policy,
 seed) triples therefore reproduce identical trajectories bit for bit.
 
+There are three kinds of event.  A copy's DEPART is pushed when the copy
+starts; the first one of a job to be popped departs the job.  A job that
+departs with two or more copies and delta > 0 pushes one CANCEL_END for
+all its servers, which frees them in the order the copies started.  The
+ARRIVE events of a Poisson run each push the next arrival.  The DEPART
+events of the cancelled copies stay in the heap: popping one does nothing,
+but it still ends a timestamp, so idle servers are offered again at the
+time a cancelled copy would have ended.  No server is offered while none
+is idle, so a timestamp that leaves every server busy or cancelling costs
+no scan.
+
 A saturated run whose laws are atomic on a lattice of step g
 (distributions._lattice_step) that is no binary fraction, such as 0.1,
 snaps every departure and cancellation-window end to the multiple of g
@@ -37,7 +48,7 @@ import numpy as np
 
 from .distributions import _lattice_step, _ticks, _time_of
 from .errors import PolicyError
-from .policies import Decision, JobView, Observation, Policy
+from .policies import Decision, JobView, Observation, Policy, _Laws
 
 INF = float("inf")
 
@@ -135,7 +146,7 @@ class _Sim:
     FIFO queue; otherwise the queue is never empty (saturated)."""
 
     def __init__(self, config: SystemConfig, policy: Policy, seed, lam=0.0, trace=None):
-        self.dists = config.servers
+        self.dists = _Laws(config.servers)
         self.k = config.k
         self.delta = config.delta
         self.policy = policy
@@ -148,6 +159,7 @@ class _Sim:
         self.gaps = _blocks(partial(rngs[-1].exponential, 1.0 / lam)) if lam > 0 else None
         self.started = 0
         self.status = [_IDLE] * self.k
+        self.n_idle = self.k
         self.idle_since = [0.0] * self.k
         self.cancel_until = [0.0] * self.k
         self.heap = []
@@ -179,10 +191,6 @@ class _Sim:
         nearest that multiple, the same for every event due there."""
         _Sim._push(self, _time_of(_ticks(time, g), step), kind, a, b)
 
-    def _log(self, time, event, job_id, server, detail):
-        if self.trace is not None:
-            self.trace.append((time, event, job_id, server, detail))
-
     # -- decisions -------------------------------------------------------------
 
     def _observation(self, server, now, can_new):
@@ -213,10 +221,12 @@ class _Sim:
         )
 
     def _scan(self, now):
+        if not self.n_idle:
+            return
         self.snapshot = None
         status = self.status
         acted = True
-        while acted:
+        while acted and self.n_idle:
             acted = False
             for s in range(self.k):
                 if status[s] != _IDLE:
@@ -255,8 +265,7 @@ class _Sim:
         self.started += 1
         job = _Job(job_id, arrival, servers[0])
         self.jobs[job_id] = job
-        for s in servers:
-            self._launch(job, s, now)
+        self._launch(job, servers, now)
 
     def _add_replicas(self, job_id, servers, now):
         job = self.jobs.get(job_id)
@@ -265,58 +274,74 @@ class _Sim:
         for s in servers:
             if s in job.servers:
                 raise PolicyError(f"job {job_id} already runs on server {s}")
-            self._launch(job, s, now)
+        self._launch(job, servers, now)
 
-    def _launch(self, job, s, now):
-        if self.status[s] != _IDLE:
-            raise PolicyError(f"server {s} is not idle")
-        if self.arrivals is None:
-            gap = now - self.idle_since[s]
-            if gap > self.max_idle_gap:
-                self.max_idle_gap = gap
-        self.status[s] = _BUSY
+    def _launch(self, job, servers, now):
+        """Start a copy of job on each of servers, in order."""
+        status = self.status
+        saturated = self.arrivals is None
+        for s in servers:
+            if status[s] != _IDLE:
+                raise PolicyError(f"server {s} is not idle")
+            if saturated:
+                gap = now - self.idle_since[s]
+                if gap > self.max_idle_gap:
+                    self.max_idle_gap = gap
+            status[s] = _BUSY
+            self.n_idle -= 1
+            job.servers += (s,)
+            job.starts.append(now)
+            self._push(now + next(self.draws[s]), _DEPART, job, s)
+            if self.trace is not None:
+                self.trace.append((now, "start", job.id, s, len(job.servers)))
         self.snapshot = None
-        job.servers += (s,)
-        job.starts.append(now)
-        self._push(now + next(self.draws[s]), _DEPART, job, s)
-        self._log(now, "start", job.id, s, len(job.servers))
 
     # -- events ---------------------------------------------------------------
 
     def _depart(self, job, finisher, now):
-        if job.departed:
-            return False
         job.departed = True
-        ncopies = len(job.servers)
+        servers = job.servers
+        ncopies = len(servers)
         cost = len(job.starts) * now - math.fsum(job.starts)
         if ncopies >= 2:
-            cost += self.delta * ncopies
-            for s in job.servers:
-                if self.delta > 0:
+            delta = self.delta
+            cost += delta * ncopies
+            if delta > 0:
+                until = now + delta
+                for s in servers:
                     self.status[s] = _CANCEL
-                    self.cancel_until[s] = now + self.delta
-                    self._push(now + self.delta, _CANCEL_END, s, job.id)
-                else:
-                    self._free(s, now)
+                    self.cancel_until[s] = until
+                self._push(until, _CANCEL_END, servers, job.id)
+            else:
+                self._free(servers, now)
         else:
-            self._free(finisher, now)
+            self._free((finisher,), now)
         del self.jobs[job.id]
         self.dep_times.append(now)
         self.dep_cost.append(cost)
         if self.arrivals is not None:
             self.dep_resp.append(now - job.arrival)
-        self._log(now, "depart", job.id, finisher, ncopies)
-        return True
+        if self.trace is not None:
+            self.trace.append((now, "depart", job.id, finisher, ncopies))
 
-    def _free(self, s, now):
-        self.status[s] = _IDLE
-        self.idle_since[s] = now
+    def _free(self, servers, now):
+        status, idle_since = self.status, self.idle_since
+        for s in servers:
+            status[s] = _IDLE
+            idle_since[s] = now
+        self.n_idle += len(servers)
+
+    def _cancel_end(self, servers, job_id, now):
+        self._free(servers, now)
+        if self.trace is not None:
+            self.trace.extend([(now, "cancel_end", job_id, s, self.delta) for s in servers])
 
     def _arrive(self, now, n_jobs):
         job_id = len(self.arrivals)
         self.arrivals.append(now)
         queued = job_id + 1 - self.started
-        self._log(now, "arrive", job_id, -1, queued)
+        if self.trace is not None:
+            self.trace.append((now, "arrive", job_id, -1, queued))
         if job_id + 1 == max(1, n_jobs // 2):
             self.q_mid = queued
         if job_id + 1 < n_jobs:
@@ -341,11 +366,12 @@ class _Sim:
             while heap and heap[0][0] == t:
                 _, kind, _, a, b = heapq.heappop(heap)
                 if kind == _DEPART:
-                    if self._depart(a, b, t) and len(self.dep_times) >= n_jobs:
-                        return
+                    if not a.departed:  # else a cancelled copy's end
+                        self._depart(a, b, t)
+                        if len(self.dep_times) >= n_jobs:
+                            return
                 elif kind == _CANCEL_END:
-                    self._free(a, t)
-                    self._log(t, "cancel_end", b, a, self.delta)
+                    self._cancel_end(a, b, t)
                 else:
                     self._arrive(t, n_jobs)
             self._scan(t)
@@ -434,8 +460,10 @@ def run_poisson(
     the policy's capacity).  The runs are split over forked workers (see
     _poisson_rows); the result is the same for every split.
     """
-    if not lam > 0:  # nan too: _Sim would run it saturated, with no response times
-        raise ValueError(f"need lam > 0, got {lam}")
+    if not 0 < lam < INF:  # nan too: _Sim would run it saturated, with no response times
+        raise ValueError(f"need lam > 0 and finite, got {lam}")
+    if n_jobs < 1:
+        raise ValueError(f"need n_jobs >= 1, got {n_jobs}")
     if n_runs < 1:
         raise ValueError(f"need n_runs >= 1, got {n_runs}")
     rows = _poisson_rows(config, policy, lam, n_jobs, n_runs, seed)

@@ -418,6 +418,23 @@ def instantaneous_rate(obs: Observation, action: Decision, include_cancel_delay=
     return rate
 
 
+class _Laws(tuple):
+    """A tuple of service-time laws that computes its hash once.
+
+    Every _expected_departure lookup hashes the laws, and each law's
+    dataclass __hash__ runs in Python; the simulator wraps its laws in one
+    _Laws per run.  Hash and equality are those of the plain tuple, so the
+    memo's keys and results are the same either way."""
+
+    def __new__(cls, laws):
+        self = super().__new__(cls, laws)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 @lru_cache(maxsize=200_000)
 def _expected_departure(replicas, dists, delta):
     laws = [dists[s].residual(e) if e > 0 else dists[s] for s, e in replicas]

@@ -201,6 +201,13 @@ class TestSimulateCommand:
         row = next(csv.DictReader(io.StringIO("\n".join(body))))
         assert row["n_jobs"] == "500" and row["seed"] == "3"
 
+    @pytest.mark.parametrize("lam", ["0", "-0.5", "nan", "inf"])
+    def test_bad_poisson_rate_exits_two(self, tmp_path, capsys, lam):
+        text = EXAMPLE1 + f"mode = poisson\nlambdas = 0.5, {lam}\njobs = 50\nruns = 2\n"
+        code, rows, _ = run_cli(tmp_path, ["simulate"], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestBoundCommand:
     def test_pause_bound_recovers_threshold(self, tmp_path):

@@ -369,10 +369,15 @@ class TestPoisson:
         b = run_poisson(EXAMPLE, FullRep(), lam=0.5, n_jobs=300, n_runs=5, seed=8)
         assert a == b
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_rate_must_be_positive(self, lam):
-        with pytest.raises(ValueError, match="need lam > 0"):
+        with pytest.raises(ValueError, match="need lam > 0 and finite"):
             run_poisson(EXAMPLE, NoRep(), lam, n_jobs=50, n_runs=2, seed=0)
+
+    @pytest.mark.parametrize("n_jobs", [0, -5])
+    def test_needs_at_least_one_job(self, n_jobs):
+        with pytest.raises(ValueError, match="need n_jobs >= 1"):
+            run_poisson(EXAMPLE, NoRep(), 0.5, n_jobs=n_jobs, n_runs=2, seed=0)
 
 
 class _BrokenReplicator(Policy):

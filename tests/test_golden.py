@@ -6,20 +6,32 @@ with the command of its entry in GOLDEN, for example
     PYTHONPATH=src python -m repliq simulate --config experiments/response_time.cfg \\
         --jobs 3000 --runs 3 --out tests/golden/response_time.csv
 
-and names every changed file and value in CHANGES.md."""
+and names every changed file and value in CHANGES.md.
+
+The event traces under ``golden/traces/`` pin the simulator's event order
+itself (starts, departures, cancellation-window ends, arrivals) on the
+cases where replicated copies are cancelled: six servers with a
+cancellation delay, the 0.1 lattice, and Poisson arrivals with δ = 1.
+``PYTHONPATH=src python tests/test_golden.py`` rewrites them."""
 
 import pathlib
 
 import pytest
 
 from repliq.cli import main
+from repliq.config import parse_config
+from repliq.distributions import parse_distribution
+from repliq.engine import SystemConfig, event_trace
+from repliq.policies import FullRep, parse_policy
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+TRACE_DIR = GOLDEN_DIR / "traces"
 
 SIMULATE = ["simulate", "--jobs", "3000", "--runs", "3"]
 GOLDEN = {
     "example1_simulate": SIMULATE,
+    "homog_k6_simulate": SIMULATE,
     "maxrate_p_sweep": SIMULATE,
     "response_time": SIMULATE,
     "mdp_k5_identical": ["mdp"],
@@ -44,3 +56,40 @@ def test_shipped_config_reproduces_its_golden_file(tmp_path, name):
     assert main([command, "--config", str(config), *flags, "--out", str(out)]) == 0
     expected = (GOLDEN_DIR / f"{name}.csv").read_bytes()
     assert _body(out.read_bytes()) == _body(expected)
+
+
+def _trace_cases():
+    """name -> (system, policy, lam, horizon, seed) of every pinned trace."""
+    cfg = parse_config((ROOT / "experiments" / "homog_k6_simulate.cfg").read_text())
+    system, policies = cfg.materialize(None)
+    cases = {f"homog_k6_{p.name}": (system, p, 0.0, 15.0, cfg.seed) for p in policies}
+    lattice = tuple(map(parse_distribution, ("det(0.3)", "finite([(0.1,0.7),(1.7,0.3)])")))
+    cases["lattice_fullrep"] = (SystemConfig(lattice, 0.1), FullRep(), 0.0, 20.0, 5)
+    example = tuple(map(parse_distribution, ("det(2)", "finite([(1,0.9),(20,0.1)])")))
+    adarep = parse_policy("adarep:{1->2:inf, 2->1:1}")
+    cases["example_poisson_adarep"] = (SystemConfig(example, 1.0), adarep, 0.5, 600.0, 5)
+    return cases
+
+
+TRACES = _trace_cases()
+
+
+def _trace_text(name):
+    system, policy, lam, horizon, seed = TRACES[name]
+    rows = event_trace(system, policy, horizon, seed, lam)
+    return "".join(f"{t!r},{ev},{job},{server},{detail!r}\n" for t, ev, job, server, detail in rows)
+
+
+def test_every_trace_file_has_a_case():
+    assert sorted(p.stem for p in TRACE_DIR.glob("*.csv")) == sorted(TRACES)
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_event_trace_reproduces_its_golden_file(name):
+    assert _trace_text(name) == (TRACE_DIR / f"{name}.csv").read_text()
+
+
+if __name__ == "__main__":
+    TRACE_DIR.mkdir(exist_ok=True)
+    for name in TRACES:
+        (TRACE_DIR / f"{name}.csv").write_text(_trace_text(name))
