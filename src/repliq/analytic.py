@@ -7,9 +7,10 @@ space exhaustively (guarded by the Bell-number growth).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .distributions import ServiceDistribution, min_expectation, min_expectation_iid
+from .distributions import ServiceDistribution, _check_delta, min_expectation
 from .errors import InvalidPartitionError, TooManyServersError
 
 INF = float("inf")
@@ -115,6 +116,7 @@ def throughput_norep(ds) -> ThroughputReport:
 
 def throughput_fullrep(ds, delta: float = 0.0) -> ThroughputReport:
     """Every job runs on all servers at once; siblings cancel on first finish."""
+    _check_delta(delta)
     ds = list(ds)
     charge = delta if len(ds) >= 2 else 0.0
     rate = 1.0 / (charge + min_expectation(ds))
@@ -128,6 +130,7 @@ def throughput_upfront(partition: Partition, ds, delta: float = 0.0) -> Throughp
     the singleton partition therefore reproduces the no-replication rate
     exactly for any delta.
     """
+    _check_delta(delta)
     ds = list(ds)
     if partition.k != len(ds):
         raise InvalidPartitionError(
@@ -183,12 +186,13 @@ def best_homogeneous_r(d: ServiceDistribution, delta: float, k: int) -> Homogene
     ties go to the smallest r.  The returned rate k / cost is attained by a
     partition into equal groups exactly when r divides k.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"need an integer k >= 1, got {k!r}")
+    _check_delta(delta)
     best_r, best_cost = None, None
     for r in range(1, k + 1):
         charge = delta if r >= 2 else 0.0
-        cost = r * (min_expectation_iid(d, r) + charge)
+        cost = r * (min_expectation([d] * r) + charge)
         if best_cost is None or cost < best_cost * (1.0 - _TIE_REL):
             best_r, best_cost = r, cost
     return HomogeneousReplication(

@@ -34,6 +34,7 @@ import numpy as np
 
 from .distributions import (
     ServiceDistribution,
+    _check_delta,
     _golden,
     _lattice_step,
     _ticks,
@@ -44,17 +45,6 @@ from .distributions import (
 from .errors import DegenerateTruncationError
 
 INF = float("inf")
-
-
-@dataclass(frozen=True)
-class ThresholdPair:
-    """Replication thresholds: elapsed time on one server before the other helps."""
-
-    t_1to2: float
-    t_2to1: float
-
-    def __post_init__(self):
-        _as_pair((self.t_1to2, self.t_2to1))
 
 
 @dataclass(frozen=True)
@@ -97,28 +87,6 @@ def _overflow_ratio(d_own, d_other, threshold, delta, trunc_mean):
     return p * rep_time / trunc_mean
 
 
-def one_sided_pause_throughput(d1, d2, delta, t_2to1) -> float:
-    """Same bound when server 1's jobs are never replicated.
-
-    Server 2's jobs have effective service time: the truncated part plus,
-    when they overflow the threshold, the replicated completion and the
-    cancellation window.  Server 1 contributes its plain rate scaled by
-    the fraction of time it is not paused.  Equals the two-threshold
-    expression at (infinity, t_2to1) by construction.
-    """
-    _check_delta(delta)
-    _as_pair((INF, t_2to1))
-    m2 = d2.truncated_mean(t_2to1)
-    p = d2.tail(t_2to1)
-    if t_2to1 > 0.0 and m2 <= 0.0:
-        raise DegenerateTruncationError(f"zero truncated mean at threshold {t_2to1}")
-    if p > 0.0:
-        effective = m2 + p * (delta + min_expectation([d1, d2.residual(t_2to1)]))
-    else:
-        effective = m2
-    return (m2 / effective) / d1.mean() + 1.0 / effective
-
-
 def optimize_pause_bound(d1, d2, delta: float = 0.0) -> BoundReport:
     """Maximize the pause-and-replicate throughput over threshold pairs.
 
@@ -141,18 +109,10 @@ def optimize_pause_bound(d1, d2, delta: float = 0.0) -> BoundReport:
 
 
 def _as_pair(thresholds):
-    if isinstance(thresholds, ThresholdPair):
-        return thresholds.t_1to2, thresholds.t_2to1
     t12, t21 = thresholds
     if not (t12 >= 0 and t21 >= 0):
         raise ValueError(f"thresholds must be >= 0, got {thresholds}")
     return t12, t21
-
-
-def _check_delta(delta):
-    # SystemConfig's rule for the cancellation delay
-    if not 0 <= delta < INF:
-        raise ValueError(f"cancellation delay must be finite and >= 0, got {delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +144,6 @@ def homogeneous_cost(
     estimator: str = "exact",
     n_paths: int = 100_000,
     seed: int = 0,
-    extra_finisher_term: bool = True,
     _crn_draws=None,
 ):
     """Expected per-job computing time when replicas start at the given times.
@@ -192,8 +151,8 @@ def homogeneous_cost(
     The job finishes at S = min over launched copies of (draw + start); each
     launched copy burns (S - start)^+ of server time, and the cancellation
     delay is charged once per launched replica plus once for the finishing
-    server whenever at least one replica launched (drop that last charge with
-    extra_finisher_term=False).
+    server whenever at least one replica launched, as the simulator and the
+    decision process charge it.
 
     estimator="exact": exact enumeration for atomic laws, tail-product
     integrals otherwise (closed form for exponential mixtures, else
@@ -210,15 +169,15 @@ def homogeneous_cost(
     if estimator == "monte-carlo":
         if _crn_draws is None:
             _crn_draws = _crn_rows(d, len(all_starts), n_paths, seed)
-        return _cost_from_draws(_crn_draws, all_starts, delta, extra_finisher_term)
+        return _cost_from_draws(_crn_draws, all_starts, delta)
     if estimator != "exact":
         raise ValueError(f"unknown estimator {estimator!r}")
 
     atoms = d._atoms()
     if atoms is not None:
         step = _lattice_step((d,))
-        return _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term, step), 0.0
-    return _cost_tail_integrals(d, all_starts, delta, extra_finisher_term), 0.0
+        return _cost_exact_atomic(atoms, all_starts, delta, step), 0.0
+    return _cost_tail_integrals(d, all_starts, delta), 0.0
 
 
 def _crn_rows(d, k, n_paths, seed):
@@ -235,7 +194,7 @@ def _check_paths(estimator, n_paths):
         raise ValueError(f"monte-carlo needs n_paths >= 2, got {n_paths}")
 
 
-def _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term, step):
+def _cost_exact_atomic(atoms, all_starts, delta, step):
     """Exact cost for atoms on a lattice of step step (None off one).  As
     in the simulator, on a lattice that is no binary fraction a copy started
     on it ends at the float nearest its multiple of step, so that a start
@@ -261,12 +220,12 @@ def _cost_exact_atomic(atoms, all_starts, delta, extra_finisher_term, step):
             prob *= p
             s = min(s, end)
         cost = sum(max(s - t, 0.0) for t in active)
-        cost += delta * _delta_multiplier(s, all_starts, extra_finisher_term)
+        cost += delta * _delta_multiplier(s, all_starts)
         total += prob * cost
     return total
 
 
-def _cost_tail_integrals(d, all_starts, delta, extra_finisher_term):
+def _cost_tail_integrals(d, all_starts, delta):
     active = [t for t in all_starts if t < INF]
     comps = [(d, t, 1) for t in active]
     cost = 0.0
@@ -279,14 +238,12 @@ def _cost_tail_integrals(d, all_starts, delta, extra_finisher_term):
                 out *= d.tail(x - t)
             return out
 
-        mult = sum(joint_tail(t) for t in all_starts[1:])
-        if extra_finisher_term:
-            mult += joint_tail(all_starts[1])
+        mult = sum(joint_tail(t) for t in all_starts[1:]) + joint_tail(all_starts[1])
         cost += delta * mult
     return cost
 
 
-def _cost_from_draws(rows, all_starts, delta, extra_finisher_term):
+def _cost_from_draws(rows, all_starts, delta):
     # rows[i] holds copy i's draws on every path, so each step below is
     # elementwise work on one row
     finite = [(row, t) for row, t in zip(rows, all_starts) if t < INF]
@@ -298,8 +255,7 @@ def _cost_from_draws(rows, all_starts, delta, extra_finisher_term):
         charges = np.zeros_like(s)
         for _, t in finite[1:]:
             charges += t < s
-        if extra_finisher_term:
-            charges += all_starts[1] < s
+        charges += all_starts[1] < s
         cost = cost + delta * charges
     n = len(cost)
     return float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n))
@@ -332,11 +288,11 @@ def _row_sum(terms):
     return total
 
 
-def _delta_multiplier(s, all_starts, extra_finisher_term):
+def _delta_multiplier(s, all_starts):
     if len(all_starts) < 2:
         return 0.0
     mult = sum(1.0 for t in all_starts[1:] if t < s)
-    if extra_finisher_term and all_starts[1] < s:
+    if all_starts[1] < s:
         mult += 1.0
     return mult
 
@@ -349,7 +305,6 @@ def homogeneous_bound(
     n_paths: int = 100_000,
     seed: int = 0,
     grid=None,
-    extra_finisher_term: bool = True,
 ) -> BoundReport:
     """Capacity bound for k identical servers: k over the minimized job cost.
 
@@ -369,10 +324,7 @@ def homogeneous_bound(
     errs = {}
 
     def cost(vec):
-        mean, errs[vec] = homogeneous_cost(
-            d, delta, vec, estimator, n_paths, seed,
-            extra_finisher_term=extra_finisher_term, _crn_draws=rows,
-        )
+        mean, errs[vec] = homogeneous_cost(d, delta, vec, estimator, n_paths, seed, _crn_draws=rows)
         return mean
 
     corners = [(0.0,) * (r - 1) + (INF,) * (k - r) for r in range(1, k + 1)]

@@ -147,6 +147,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("sweep must look like 'name: v1, v2' or 'name: a:b:step'")
         cfg.sweep_name = name.strip()
         cfg.sweep_values = tuple(_parse_number_list(vals))
+        if not cfg.sweep_values:
+            raise ConfigError(f"sweep {values['sweep']!r} has no values")
     if "bound" in values:
         kind = values["bound"].lower()
         if kind not in ("auto", "pause", "homogeneous", "both"):
@@ -186,13 +188,15 @@ def split_top_level(text: str, sep: str = ","):
 
 def _parse_number_list(text: str):
     text = text.strip()
-    if text.count(":") == 2:
-        start, stop, step = (float(x) for x in text.split(":"))
-        if step <= 0:
-            raise ConfigError(f"sweep step must be > 0, got {step}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [round(start + i * step, 12) for i in range(n)]
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        if text.count(":") != 2:
+            return [float(x) for x in text.split(",") if x.strip()]
+        start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}: {exc}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"range ends and step must be finite, got {text!r}")
+    if step <= 0:
+        raise ConfigError(f"sweep step must be > 0, got {step}")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [round(start + i * step, 12) for i in range(n)]

@@ -88,7 +88,8 @@ class ServiceDistribution:
     # -- integration protocol -------------------------------------------------
     # _support_upper: sup of the support (inf when unbounded).
     # _breakpoints: x values where the tail jumps or kinks.
-    # _decay: ("bounded",) | ("exp",) | ("poly", alpha) asymptotic tail class.
+    # _decay: ("exp",) | ("poly", alpha) asymptotic tail class, read only
+    #   for unbounded support.
     # _atoms: [(value, prob), ...] for purely atomic laws, else None.
     # _phases: [(weight, rate), ...] for mixtures of exponentials, else None.
 
@@ -144,9 +145,6 @@ class Deterministic(ServiceDistribution):
 
     def _breakpoints(self):
         return (self.value,)
-
-    def _decay(self):
-        return ("bounded",)
 
     def _atoms(self):
         return ((self.value, 1.0),)
@@ -425,9 +423,6 @@ class FiniteSupport(ServiceDistribution):
     def _breakpoints(self):
         return self._values
 
-    def _decay(self):
-        return ("bounded",)
-
     def _atoms(self):
         return self.atoms
 
@@ -560,6 +555,12 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
+def _check_delta(delta):
+    """The one rule for a cancellation delay, wherever one is given."""
+    if not 0 <= delta < INF:
+        raise ValueError(f"cancellation delay must be finite and >= 0, got {delta}")
+
+
 # ---------------------------------------------------------------------------
 # The time lattice of an atomic mix.
 
@@ -619,13 +620,6 @@ def min_expectation(ds) -> float:
     if not ds:
         raise ValueError("min_expectation needs at least one distribution")
     return product_tail_integral([(d, 0.0, 1) for d in ds], lower=0.0)
-
-
-def min_expectation_iid(d: ServiceDistribution, r: int) -> float:
-    """E[minimum of r independent copies of d]."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    return product_tail_integral([(d, 0.0, r)], lower=0.0)
 
 
 def product_tail_integral(components, lower: float = 0.0) -> float:

@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import _lattice_step, _ticks, _time_of
+from .distributions import _check_delta, _lattice_step, _ticks, _time_of
 from .errors import PolicyError
 from .policies import Decision, JobView, Observation, Policy, _Laws
 
@@ -74,8 +74,7 @@ class SystemConfig:
         object.__setattr__(self, "servers", tuple(self.servers))
         if not self.servers:
             raise ValueError("need at least one server")
-        if not 0 <= self.delta < INF:
-            raise ValueError(f"cancellation delay must be finite and >= 0, got {self.delta}")
+        _check_delta(self.delta)
 
     @property
     def k(self) -> int:

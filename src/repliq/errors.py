@@ -49,9 +49,5 @@ class PolicyError(RepliqError):
     """A policy returned a decision the engine cannot apply."""
 
 
-class InconsistentObservationError(PolicyError):
-    """The observation handed to a policy violates its structural invariants."""
-
-
 class ConfigError(RepliqError):
     """An experiment configuration could not be parsed or validated."""

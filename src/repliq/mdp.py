@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _fmt, _lattice_step, _ticks, _time_of
+from .distributions import _check_delta, _fmt, _lattice_step, _ticks, _time_of
 from .errors import (
     MultichainError,
     NoConvergenceError,
@@ -87,8 +87,7 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     for d in ds:
         if d._atoms() is None:
             raise ValueError(f"decision process needs finite-support laws, got {d}")
-    if delta < 0:
-        raise NonLatticeDeltaError(f"cancellation delay must be >= 0, got {delta}")
+    _check_delta(delta)
     step = _lattice_step(ds, delta)
     if step is None:
         raise NonLatticeDeltaError(f"atom values of {ds} and delta {delta} are not on the 1e-6 grid")
@@ -489,79 +488,40 @@ def _solve_with_departure_gaps(k, flat, tol, max_iters):
 
 
 def _verify_unichain(kernel, choices, start=0):
-    """One recurrent class among the states the solved policy can visit."""
-    n = kernel.n_states
-    adj = [
-        [j for j, p, _, _ in kernel.actions[s][choices[s]][1] if p > 0]
-        for s in range(n)
-    ]
-    reachable = {start}
-    stack = [start]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in reachable:
-                reachable.add(j)
-                stack.append(j)
-    sccs = _strongly_connected(adj, reachable)
-    comp = {}
-    for ci, scc in enumerate(sccs):
-        for s in scc:
-            comp[s] = ci
-    closed = set(range(len(sccs)))
-    for s in reachable:
-        for j in adj[s]:
-            if comp[j] != comp[s]:
-                closed.discard(comp[s])
-    if len(closed) != 1:
-        raise MultichainError(f"{len(closed)} recurrent classes under the solved policy")
+    """One recurrent class among the states the solved policy can visit.
 
-
-def _strongly_connected(adj, nodes=None):
-    n = len(adj)
-    if nodes is None:
-        nodes = range(n)
-    keep = set(nodes)
-    adj = [[j for j in out if j in keep] if s in keep else [] for s, out in enumerate(adj)]
-    order = []
-    seen = [s not in keep for s in range(n)]
-    for root in nodes:
-        if seen[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        seen[root] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for j in it:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append((j, iter(adj[j])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    radj = [[] for _ in range(n)]
-    for s in range(n):
-        for j in adj[s]:
+    Two reachability sweeps, forward and backward, from a state x that
+    starts at start: while some state reachable from x cannot reach x back,
+    x moves there, which strictly shrinks the set reachable from x.  Then x
+    lies in a closed class, and the chain is unichain iff every state
+    reachable from start can reach x.
+    """
+    adj = [[j for j, p, _, _ in kernel.actions[s][c][1] if p > 0] for s, c in enumerate(choices)]
+    radj = [[] for _ in adj]
+    for s, out in enumerate(adj):
+        for j in out:
             radj[j].append(s)
-    seen = [False] * n
-    sccs = []
-    for node in reversed(order):
-        if seen[node]:
-            continue
-        scc = []
-        stack = [node]
-        seen[node] = True
+
+    def reach(edges, x):
+        seen, stack = {x}, [x]
         while stack:
-            v = stack.pop()
-            scc.append(v)
-            for j in radj[v]:
-                if not seen[j]:
-                    seen[j] = True
+            for j in edges[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
                     stack.append(j)
-        sccs.append(scc)
-    return sccs
+        return seen
+
+    visited = ahead = reach(adj, start)
+    x = start
+    while True:
+        back = reach(radj, x)
+        escape = ahead - back
+        if not escape:
+            break
+        x = min(escape)
+        ahead = reach(adj, x)
+    if not visited <= back:
+        raise MultichainError("more than one recurrent class under the solved policy")
 
 
 # ---------------------------------------------------------------------------

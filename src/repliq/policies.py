@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .analytic import Partition
 from .distributions import _fmt, _lattice_step, min_expectation
-from .errors import InconsistentObservationError, PolicyError
+from .errors import PolicyError
 
 INF = float("inf")
 
@@ -44,21 +44,6 @@ class Observation(NamedTuple):
     dists: tuple
     delta: float
     cancelling: tuple = ()
-
-    def validate(self):
-        for jv in self.jobs:
-            if self.server in jv.servers:
-                raise InconsistentObservationError(
-                    f"offered server {self.server} already runs job {jv.job_id}"
-                )
-            if any(e < 0 for e in jv.elapsed):
-                raise InconsistentObservationError(
-                    f"negative elapsed time on job {jv.job_id}"
-                )
-        if self.server not in self.idle_servers:
-            raise InconsistentObservationError(
-                f"offered server {self.server} not in idle set {self.idle_servers}"
-            )
 
 
 class Decision(NamedTuple):
@@ -201,7 +186,7 @@ class AdaRep(Policy):
     def __post_init__(self):
         if self.homogeneous:
             taus = tuple(float(t) for t in self.homogeneous)
-            if any(t < 0 for t in taus):
+            if not all(t >= 0 for t in taus):
                 raise ValueError(f"thresholds must be >= 0, got {taus}")
             if any(a > b for a, b in zip(taus, taus[1:])):
                 raise ValueError(f"homogeneous thresholds must be nondecreasing, got {taus}")
@@ -209,7 +194,7 @@ class AdaRep(Policy):
         raw = self.thresholds
         items = raw.items() if isinstance(raw, dict) else [((o, t), v) for o, t, v in raw]
         table = tuple(sorted((int(o), int(t), float(v)) for (o, t), v in items))
-        if any(v < 0 for _, _, v in table):
+        if not all(v >= 0 for _, _, v in table):
             raise ValueError("thresholds must be >= 0")
         object.__setattr__(self, "thresholds", table)
 
@@ -388,12 +373,6 @@ def canonical_state(key, classes):
         new_cancel[perm[s]] = cancel[s]
     new_jobs = tuple(sorted(tuple(sorted([perm[s] for s in job])) for job in jobs))
     return (new_jobs, tuple(new_elapsed), tuple(new_cancel)), perm
-
-
-def decide(policy: Policy, obs: Observation) -> Decision:
-    """Validate the observation, then ask the policy."""
-    obs.validate()
-    return policy.decide(obs)
 
 
 def instantaneous_rate(obs: Observation, action: Decision, include_cancel_delay=True) -> float:

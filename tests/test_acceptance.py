@@ -18,7 +18,6 @@ from repliq.analytic import (
 )
 from repliq.bounds import (
     adarep_pause_throughput,
-    one_sided_pause_throughput,
     homogeneous_bound,
     optimize_pause_bound,
 )
@@ -29,6 +28,7 @@ from repliq.distributions import (
     HyperExp,
     Pareto,
     Shifted,
+    min_expectation,
 )
 from repliq.engine import SystemConfig, event_trace, run_poisson, run_saturated
 from repliq.mdp import as_tabular_policy, build_mdp, solve_average_cost
@@ -369,9 +369,14 @@ def test_criterion_11_module_invariant_spotchecks():
                 continue
             lhs = d.truncated_mean(t) + tail * d.residual(t).mean()
             assert abs(lhs - d.mean()) <= 1e-8
-    # the one-sided bound equals the general expression at threshold infinity
+    # the general expression at threshold infinity equals the one-sided
+    # bound: server 2's jobs take the truncated part plus the replicated
+    # completion on overflow, server 1 runs while it is not paused
+    d1, d2 = EXAMPLE_DISTS
     for t21 in (0.25, 1.0, 5.0, INF):
-        a = one_sided_pause_throughput(*EXAMPLE_DISTS, 0.0, t21)
+        m2, p = d2.truncated_mean(t21), d2.tail(t21)
+        effective = m2 + (p * min_expectation([d1, d2.residual(t21)]) if p > 0 else 0.0)
+        a = (m2 / effective) / d1.mean() + 1.0 / effective
         b = adarep_pause_throughput(*EXAMPLE_DISTS, 0.0, (INF, t21))
         assert abs(a - b) <= 1e-9
     # threshold policy with infinite thresholds is trajectory-equal to norep

@@ -22,7 +22,9 @@ from repliq.distributions import (
     Pareto,
     Shifted,
 )
+from repliq.engine import SystemConfig
 from repliq.errors import InfiniteMeanError, InvalidPartitionError, TooManyServersError
+from repliq.mdp import build_mdp
 
 EXAMPLE = (Deterministic(2.0), FiniteSupport(((1.0, 0.9), (20.0, 0.1))))
 
@@ -193,3 +195,24 @@ class TestBestHomogeneousR:
         rep = best_homogeneous_r(Pareto(0.5, 1.2), 0.0, 10)
         assert 1 <= rep.r_star <= 10
         assert isinstance(rep, HomogeneousReplication)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, 0, -1, "2"])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            best_homogeneous_r(Exponential(1.0), 0.1, k)
+
+
+@pytest.mark.parametrize("delta", [-5.0, math.nan, math.inf])
+def test_every_entry_point_rejects_a_bad_delay(delta):
+    # one rule for the cancellation delay: finite and >= 0
+    entry_points = [
+        lambda: SystemConfig(EXAMPLE, delta),
+        lambda: throughput_fullrep(EXAMPLE, delta),
+        lambda: throughput_upfront(Partition((frozenset({0, 1}),)), EXAMPLE, delta),
+        lambda: best_partition(EXAMPLE, delta),
+        lambda: best_homogeneous_r(EXAMPLE[1], delta, 3),
+        lambda: build_mdp(EXAMPLE, delta),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="cancellation delay must be finite and >= 0"):
+            call()

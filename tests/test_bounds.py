@@ -13,9 +13,7 @@ from repliq.analytic import (
 from repliq.bounds import (
     BoundReport,
     StartTimeVector,
-    ThresholdPair,
     adarep_pause_throughput,
-    one_sided_pause_throughput,
     homogeneous_bound,
     homogeneous_cost,
     optimize_pause_bound,
@@ -27,6 +25,7 @@ from repliq.distributions import (
     HyperExp,
     Pareto,
     Shifted,
+    min_expectation,
 )
 from repliq.engine import SystemConfig, run_saturated
 from repliq.errors import DegenerateTruncationError
@@ -42,6 +41,20 @@ V1_EXAMPLE_THRESHOLD_ONE = 1.25
 # brute-force minimum of the start-time cost for two iid copies of the
 # example finite-support law: cost 1.56 at t2 = 1
 B2_EXAMPLE_HOMOGENEOUS = 50.0 / 39.0
+
+
+def one_sided_pause_throughput(d1, d2, delta, t21):
+    """The pause-and-replicate rate at thresholds (infinity, t21) derived
+    one-sidedly: server 2's jobs take the truncated part plus, when they
+    overflow t21, the replicated completion and the cancellation window;
+    server 1 runs at its plain rate for the fraction of time it is not
+    paused.  An oracle for the two-threshold expression."""
+    m2 = d2.truncated_mean(t21)
+    p = d2.tail(t21)
+    effective = m2
+    if p > 0.0:
+        effective += p * (delta + min_expectation([d1, d2.residual(t21)]))
+    return (m2 / effective) / d1.mean() + 1.0 / effective
 
 
 def pause_and_replicate_renewal_mc(d1, d2, delta, t21, n_cycles, seed):
@@ -78,7 +91,7 @@ class TestPauseThroughput:
         assert v == pytest.approx(0.84483, abs=1e-4)
 
     def test_example_threshold_one(self):
-        v = adarep_pause_throughput(*EXAMPLE, 0.0, ThresholdPair(INF, 1.0))
+        v = adarep_pause_throughput(*EXAMPLE, 0.0, (INF, 1.0))
         assert v == pytest.approx(V1_EXAMPLE_THRESHOLD_ONE, rel=1e-12)
 
     def test_against_renewal_monte_carlo(self):
@@ -109,7 +122,7 @@ class TestPauseThroughput:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            ThresholdPair(-1.0, 0.0)
+            adarep_pause_throughput(*EXAMPLE, 0.0, (-1.0, 0.0))
 
 
 class TestOneSidedBound:
@@ -129,9 +142,9 @@ class TestOneSidedBound:
 
     def test_limits(self):
         d1, d2 = EXAMPLE
-        assert one_sided_pause_throughput(d1, d2, 0.0, INF) == pytest.approx(0.84483, abs=1e-4)
-        assert one_sided_pause_throughput(d1, d2, 0.0, 0.0) == pytest.approx(0.90909, abs=1e-4)
-        assert one_sided_pause_throughput(d1, d2, 0.0, 1.0) == pytest.approx(1.25, rel=1e-12)
+        for t21, want, tol in ((INF, 0.84483, 1e-4), (0.0, 0.90909, 1e-4), (1.0, 1.25, 1e-12)):
+            assert one_sided_pause_throughput(d1, d2, 0.0, t21) == pytest.approx(want, abs=tol)
+            assert adarep_pause_throughput(d1, d2, 0.0, (INF, t21)) == pytest.approx(want, abs=tol)
 
 
 class TestOptimizePauseBound:
@@ -207,12 +220,6 @@ class TestHomogeneousCost:
         )
         assert abs(mc - exact) <= 3 * err
 
-    def test_finisher_window_switch(self):
-        d = Exponential(1.0)
-        with_extra, _ = homogeneous_cost(d, 0.5, (0.0,))
-        without, _ = homogeneous_cost(d, 0.5, (0.0,), extra_finisher_term=False)
-        assert with_extra == pytest.approx(without + 0.5, rel=1e-9)
-
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             homogeneous_cost(Exponential(1.0), 0.0, (2.0, 1.0))
@@ -230,7 +237,7 @@ class TestHomogeneousCost:
         assert homogeneous_cost(Exponential(1.0), 0.1, (0.5,), n_paths=n_paths)[1] == 0.0
 
 
-def path_major_cost(draws, all_starts, delta, extra_finisher_term):
+def path_major_cost(draws, all_starts, delta):
     """The Monte-Carlo cost on an (n_paths, K) draw matrix, reduced across
     each path with numpy: the reference the row-per-copy cost must
     reproduce bit for bit."""
@@ -241,8 +248,7 @@ def path_major_cost(draws, all_starts, delta, extra_finisher_term):
     cost = np.maximum(s[:, None] - starts[finite][None, :], 0.0).sum(axis=1)
     if delta > 0.0 and len(all_starts) > 1:
         launched = (starts[None, 1:] < s[:, None]).sum(axis=1)
-        extra = (starts[1] < s).astype(float) if extra_finisher_term else 0.0
-        cost = cost + delta * (launched + extra)
+        cost = cost + delta * (launched + (starts[1] < s).astype(float))
     n = len(cost)
     return float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n))
 
@@ -256,10 +262,10 @@ class TestMonteCarloCostBits:
     GRID = (0.0, 0.5, 1.0, 1.7, 2.3, 5.0, 20.0, INF)
 
     @staticmethod
-    def reference(d, delta, starts, n_paths, seed, extra):
+    def reference(d, delta, starts, n_paths, seed):
         all_starts = (0.0,) + tuple(starts)
         draws = d.sample_array(np.random.default_rng(seed), n_paths * len(all_starts))
-        return path_major_cost(draws.reshape(n_paths, -1), all_starts, delta, extra)
+        return path_major_cost(draws.reshape(n_paths, -1), all_starts, delta)
 
     @pytest.mark.parametrize("k", [*range(1, 11), 130])
     def test_equals_path_major_reductions(self, k):
@@ -269,13 +275,9 @@ class TestMonteCarloCostBits:
             d = self.LAWS[trial % 3]
             starts = tuple(sorted(float(t) for t in rng.choice(self.GRID, k - 1)))
             for delta in (0.0, 0.1):
-                for extra in (True, False):
-                    got = homogeneous_cost(
-                        d, delta, starts, "monte-carlo", n_paths, seed=trial,
-                        extra_finisher_term=extra,
-                    )
-                    want = self.reference(d, delta, starts, n_paths, trial, extra)
-                    assert got == want, (d, starts, delta, extra)
+                got = homogeneous_cost(d, delta, starts, "monte-carlo", n_paths, seed=trial)
+                want = self.reference(d, delta, starts, n_paths, trial)
+                assert got == want, (d, starts, delta)
 
     def test_every_copy_launched_past_eight_and_past_128(self):
         # Pareto(1, 1.5) draws are >= 1, so every copy started before 1 is
@@ -284,7 +286,7 @@ class TestMonteCarloCostBits:
         for k in (8, 9, 17, 130):
             starts = tuple(0.007 * j for j in range(1, k))
             got = homogeneous_cost(d, 0.1, starts, "monte-carlo", 500, seed=k)
-            assert got == self.reference(d, 0.1, starts, 500, k, True), k
+            assert got == self.reference(d, 0.1, starts, 500, k), k
 
     @pytest.mark.parametrize("n", [*range(1, 30), 127, 128, 129, 130, 200, 257])
     def test_row_sum_is_numpy_row_order(self, n):
@@ -326,8 +328,6 @@ class TestBoundInputs:
             optimize_pause_bound(self.D, self.D, delta)
         with pytest.raises(ValueError, match="cancellation delay"):
             adarep_pause_throughput(self.D, self.D, delta, (1.0, 1.0))
-        with pytest.raises(ValueError, match="cancellation delay"):
-            one_sided_pause_throughput(self.D, self.D, delta, 1.0)
 
     def test_nan_start_time(self):
         with pytest.raises(ValueError, match="start times"):
@@ -338,11 +338,9 @@ class TestBoundInputs:
 
     def test_nan_threshold(self):
         with pytest.raises(ValueError, match="thresholds"):
-            ThresholdPair(math.nan, 1.0)
-        with pytest.raises(ValueError, match="thresholds"):
             adarep_pause_throughput(self.D, self.D, 0.1, (math.nan, 1.0))
         with pytest.raises(ValueError, match="thresholds"):
-            one_sided_pause_throughput(self.D, self.D, 0.1, math.nan)
+            adarep_pause_throughput(self.D, self.D, 0.1, (INF, math.nan))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, 0, -1, "2"])
     def test_k_must_be_a_positive_integer(self, k):

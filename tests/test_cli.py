@@ -208,6 +208,25 @@ class TestSimulateCommand:
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "key", ["sweep = p:", "mode = poisson\nlambdas ="], ids=["sweep", "lambdas"]
+    )
+    @pytest.mark.parametrize(
+        "numbers", ["0.1:x:0.1", "nan:1:0.1", "0:nan:0.1", "0:inf:0.5", "0:1:inf", "1:0:0.1", ","]
+    )
+    def test_bad_number_range_exits_two(self, tmp_path, capsys, key, numbers):
+        text = EXAMPLE1 + f"{key} {numbers}\njobs = 50\nruns = 2\n"
+        code, rows, _ = run_cli(tmp_path, ["simulate"], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("policy", ["adarep-hom:[nan]", "adarep-hom:[0.5,nan]"])
+    def test_nan_threshold_exits_two(self, tmp_path, capsys, policy):
+        text = EXAMPLE1.replace("norep; fullrep", policy)
+        code, rows, _ = run_cli(tmp_path, ["simulate", "--jobs", "50"], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestBoundCommand:
     def test_pause_bound_recovers_threshold(self, tmp_path):

@@ -19,7 +19,6 @@ from repliq.distributions import (
     _brentq,
     _lattice_step,
     min_expectation,
-    min_expectation_iid,
     parse_distribution,
     product_tail_integral,
 )
@@ -210,9 +209,6 @@ class TestMinExpectation:
             assert min_expectation([Exponential(mu)] * r) == pytest.approx(
                 1.0 / (r * mu), rel=1e-12
             )
-            assert min_expectation_iid(Exponential(mu), r) == pytest.approx(
-                1.0 / (r * mu), rel=1e-12
-            )
 
     def test_two_deterministic(self):
         assert min_expectation([Deterministic(3.0), Deterministic(3.0)]) == 3.0
@@ -343,7 +339,7 @@ class TestMixtureClosedForm:
     @pytest.mark.parametrize("r1,r2,p", [(0.6, 0.2, 0.4), (2.0, 0.05, 0.1), (1.0, 3.0, 0.0)])
     def test_hyperexp_pair_closed_form(self, r1, r2, p):
         expected = (1 - p) ** 2 / (2 * r1) + 2 * p * (1 - p) / (r1 + r2) + p**2 / (2 * r2)
-        assert min_expectation_iid(HyperExp(r1, r2, p), 2) == pytest.approx(expected, rel=1e-14)
+        assert min_expectation([HyperExp(r1, r2, p)] * 2) == pytest.approx(expected, rel=1e-14)
 
 
 class TestSampling:

@@ -270,8 +270,9 @@ class TestObservations:
         assert with_jobs and all(type(o) is Observation for o in policy.seen)
         assert all(type(jv) is JobView for o in with_jobs for jv in o.jobs)
         for o in with_jobs:
-            o.validate()
+            assert o.server in o.idle_servers
             for jv in o.jobs:
+                assert o.server not in jv.servers and min(jv.elapsed) >= 0
                 assert len(jv.elapsed) == len(jv.servers) and jv.elapsed[0] == jv.elapsed_original
         assert any(len(jv.servers) == 2 for o in with_jobs for jv in o.jobs)
         if delta:

@@ -532,6 +532,77 @@ class TestArraySolver:
             _verify_unichain(kernel, [0, 0, 0])
 
 
+def closed_classes_reachable(adj, start):
+    """(closed classes reachable from start, steps from start to the nearest
+    recurrent state), by brute force: a state is recurrent iff every state
+    it reaches reaches it back, and its closed class is what it reaches."""
+    n = len(adj)
+    reach = [[i == j or j in adj[i] for j in range(n)] for i in range(n)]
+    for m in range(n):  # Warshall's transitive closure
+        for i in range(n):
+            if reach[i][m]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[m])]
+    recurrent = [i for i in range(n) if all(reach[j][i] for j in range(n) if reach[i][j])]
+    classes = {
+        frozenset(j for j in range(n) if reach[i][j]) for i in recurrent if reach[start][i]
+    }
+    steps, frontier, seen = 0, {start}, {start}
+    while not frontier & set(recurrent):
+        frontier = {j for i in frontier for j in adj[i]} - seen
+        seen |= frontier
+        steps += 1
+    return len(classes), steps
+
+
+class TestUnichainOracle:
+    def test_rejects_exactly_the_multichain_kernels(self):
+        rng = random.Random(16)
+        seen = {"unichain": 0, "multichain": 0, "far_unichain": 0, "far_multichain": 0}
+        for case in range(4000):
+            n = rng.randint(1, 9)
+            # in odd cases the first states lead only forward: the start is
+            # transient and the closed classes lie several steps away.  The
+            # other states fall into blocks whose edges mostly stay inside.
+            forward = rng.randint(0, n - 1) if case % 2 else 0
+            n_cuts = min(rng.randint(1, 3), n - forward - 1)
+            cuts = sorted(rng.sample(range(forward + 1, n), n_cuts))
+            blocks = [range(a, b) for a, b in zip([forward, *cuts], [*cuts, n])]
+            actions, choices, adj = [], [], []
+            for s in range(n):
+                acts = []
+                for a in range(rng.randint(1, 2)):
+                    targets = []
+                    for _ in range(rng.choice((1, 2) if s < forward else (1, 1, 2, 3))):
+                        if s < forward:
+                            pool = range(s + 1, min(s + 3, n))
+                        elif rng.random() < 0.95:
+                            pool = next(b for b in blocks if s in b)
+                        else:
+                            pool = range(forward, n)
+                        targets.append(rng.choice(pool))
+                    # a zero-probability transition is no edge
+                    probs = [1.0] + [rng.choice([0.0, 0.5, 2.0]) for _ in targets[1:]]
+                    total = sum(probs)
+                    trans = tuple((t, p / total, 1.0, 1) for t, p in zip(targets, probs))
+                    acts.append((f"a{a}", trans))
+                choice = rng.randrange(len(acts))
+                actions.append(acts)
+                choices.append(choice)
+                adj.append({t for t, p, _, _ in acts[choice][1] if p > 0})
+            kernel = MdpKernel(states=list(range(n)), actions=actions, k=1, delta=0.0)
+            count, steps = closed_classes_reachable(adj, 0)
+            assert count >= 1
+            if count == 1:
+                _verify_unichain(kernel, choices)
+            else:
+                with pytest.raises(MultichainError):
+                    _verify_unichain(kernel, choices)
+            kind = "unichain" if count == 1 else "multichain"
+            seen[kind] += 1
+            seen["far_" + kind] += steps >= 3
+        assert min(seen.values()) >= 40, seen
+
+
 def _relabel(key, perm):
     """The key with server s renamed perm[s]."""
     jobs, elapsed, cancel = key

@@ -13,7 +13,7 @@ from repliq.distributions import (
     _lattice_step,
 )
 from repliq.engine import SystemConfig, run_saturated
-from repliq.errors import InconsistentObservationError, PolicyError
+from repliq.errors import PolicyError
 from repliq.mdp import as_tabular_policy, build_mdp, solve_average_cost
 from repliq.policies import (
     WAIT,
@@ -28,7 +28,6 @@ from repliq.policies import (
     TabularPolicy,
     UpfrontRep,
     canonical_state,
-    decide,
     instantaneous_rate,
     parse_policy,
 )
@@ -64,30 +63,30 @@ def obs(server, jobs=(), dists=EXAMPLE_DISTS, can_new=True, delta=0.0, idle=None
 
 class TestNoRepFullRepUpfront:
     def test_norep_always_new_on_offered(self):
-        d = decide(NoRep(), obs(0))
+        d = NoRep().decide(obs(0))
         assert d.plan == (((0,), "new"),)
 
     def test_norep_waits_without_queue(self):
-        d = decide(NoRep(), obs(0, can_new=False))
+        d = NoRep().decide(obs(0, can_new=False))
         assert d.kind == "wait"
 
     def test_fullrep_all_idle(self):
-        d = decide(FullRep(), obs(0))
+        d = FullRep().decide(obs(0))
         assert d.plan == (((0, 1), "new"),)
 
     def test_fullrep_waits_on_partial_idle(self):
         jv = job(7, 1, (1,), (0.5,))
-        d = decide(FullRep(), obs(0, jobs=(jv,)))
+        d = FullRep().decide(obs(0, jobs=(jv,)))
         assert d.kind == "wait"
 
     def test_upfront_waits_for_whole_group(self):
         dists = (Exponential(1.0),) * 3
         policy = UpfrontRep(Partition((frozenset({0, 1}), frozenset({2}))))
         jv = job(3, 1, (1,), (0.2,))
-        assert decide(policy, obs(0, jobs=(jv,), dists=dists)).kind == "wait"
-        d = decide(policy, obs(2, jobs=(jv,), dists=dists))
+        assert policy.decide(obs(0, jobs=(jv,), dists=dists)).kind == "wait"
+        d = policy.decide(obs(2, jobs=(jv,), dists=dists))
         assert d.plan == (((2,), "new"),)
-        d = decide(policy, obs(0, dists=dists))
+        d = policy.decide(obs(0, dists=dists))
         assert d.plan == (((0, 1), "new"),)
 
 
@@ -96,31 +95,31 @@ class TestAdaRep:
 
     def test_replicates_beyond_threshold(self):
         jv = job(4, 1, (1,), (2.0,))
-        d = decide(self.POLICY, obs(0, jobs=(jv,)))
+        d = self.POLICY.decide(obs(0, jobs=(jv,)))
         assert d.plan == (((0,), 4),)
 
     def test_new_below_threshold(self):
         jv = job(4, 1, (1,), (0.5,))
-        d = decide(self.POLICY, obs(0, jobs=(jv,)))
+        d = self.POLICY.decide(obs(0, jobs=(jv,)))
         assert d.plan == (((0,), "new"),)
 
     def test_fires_at_exact_threshold(self):
         jv = job(4, 1, (1,), (1.0,))
-        assert decide(self.POLICY, obs(0, jobs=(jv,))).plan == (((0,), 4),)
+        assert self.POLICY.decide(obs(0, jobs=(jv,))).plan == (((0,), 4),)
 
     def test_infinite_threshold_never_fires(self):
         jv = job(4, 0, (0,), (100.0,))
-        d = decide(self.POLICY, obs(1, jobs=(jv,)))
+        d = self.POLICY.decide(obs(1, jobs=(jv,)))
         assert d.plan == (((1,), "new"),)
 
     def test_homogeneous_additional_replica_index(self):
         dists = (Exponential(1.0),) * 5
         policy = AdaRep(homogeneous=(0.1, 0.2, 0.3, 0.4))
         jv = job(1, 0, (0, 1, 2), (0.35, 0.2, 0.1))
-        d = decide(policy, obs(3, jobs=(jv,), dists=dists))
+        d = policy.decide(obs(3, jobs=(jv,), dists=dists))
         assert d.plan == (((3,), 1),)
         jv = job(1, 0, (0, 1, 2), (0.25, 0.2, 0.1))
-        d = decide(policy, obs(3, jobs=(jv,), dists=dists))
+        d = policy.decide(obs(3, jobs=(jv,), dists=dists))
         assert d.plan == (((3,), "new"),)
 
     def test_tie_prefers_largest_elapsed_then_smallest_id(self):
@@ -129,22 +128,37 @@ class TestAdaRep:
         a = job(5, 0, (0,), (0.9,))
         b = job(2, 1, (1,), (1.5,))
         c = job(9, 2, (2,), (1.5,))
-        d = decide(policy, obs(3, jobs=(a, b, c), dists=dists))
+        d = policy.decide(obs(3, jobs=(a, b, c), dists=dists))
         assert d.plan == (((3,), 2),)
 
     def test_wait_when_nothing_possible(self):
         jv = job(4, 1, (1,), (0.5,))
-        d = decide(self.POLICY, obs(0, jobs=(jv,), can_new=False))
+        d = self.POLICY.decide(obs(0, jobs=(jv,), can_new=False))
         assert d.kind == "wait"
 
     def test_nondecreasing_validation(self):
         with pytest.raises(ValueError):
             AdaRep(homogeneous=(0.3, 0.2))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"homogeneous": (float("nan"),)},
+            {"homogeneous": (0.5, float("nan"))},
+            {"thresholds": {(0, 1): float("nan")}},
+            {"thresholds": {(0, 1): -1.0}},
+        ],
+    )
+    def test_nan_or_negative_threshold_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="thresholds must be >= 0"):
+            AdaRep(**kwargs)
+        # an infinite threshold stays legal: it never replicates
+        assert AdaRep(homogeneous=(0.5, INF)).homogeneous == (0.5, INF)
+
     def test_decide_is_pure(self):
         jv = job(4, 1, (1,), (2.0,))
         o = obs(0, jobs=(jv,))
-        assert decide(self.POLICY, o) == decide(self.POLICY, o)
+        assert self.POLICY.decide(o) == self.POLICY.decide(o)
 
 
 class TestMaxRate:
@@ -153,7 +167,7 @@ class TestMaxRate:
         # replicating (rate 1/1.1) beats two singletons (0.5 + 1/2.9)
         jv = job(0, 0, (0,), (0.0,))
         o = obs(1, jobs=(jv,))
-        d = decide(MaxRate(), o)
+        d = MaxRate().decide(o)
         assert d.plan == (((1,), 0),)
         rep_rate = instantaneous_rate(o, Decision("plan", (((1,), 0),)))
         new_rate = instantaneous_rate(o, Decision("plan", (((1,), "new"),)))
@@ -165,7 +179,7 @@ class TestMaxRate:
         # 19-atom, so helping it (rate 1/2) loses to a fresh pair (1/2 + 1/19)
         jv = job(0, 1, (1,), (1.0,))
         o = obs(0, jobs=(jv,))
-        d = decide(MaxRate(), o)
+        d = MaxRate().decide(o)
         assert d.plan == (((0,), "new"),)
         rep_rate = instantaneous_rate(o, Decision("plan", (((0,), 0),)))
         new_rate = instantaneous_rate(o, Decision("plan", (((0,), "new"),)))
@@ -180,7 +194,7 @@ class TestMaxRate:
         new_rate = instantaneous_rate(o, Decision("plan", (((1,), "new"),)))
         assert rep_rate == pytest.approx(2.0, rel=1e-12)
         assert new_rate == pytest.approx(2.0, rel=1e-12)
-        assert decide(MaxRate(), o).plan == (((1,), "new"),)
+        assert MaxRate().decide(o).plan == (((1,), "new"),)
 
     def test_cancel_delay_switch(self):
         jv = job(0, 0, (0,), (0.0,))
@@ -193,7 +207,7 @@ class TestMaxRate:
     def test_empty_queue_can_still_replicate(self):
         jv = job(0, 1, (1,), (0.0,))
         o = obs(0, jobs=(jv,), can_new=False)
-        d = decide(MaxRate(), o)
+        d = MaxRate().decide(o)
         assert d.plan == (((0,), 0),)
 
     def test_empty_queue_replicates_stragglers_for_free(self):
@@ -201,7 +215,7 @@ class TestMaxRate:
         # only raise the departure rate, even for an identified straggler
         jv = job(0, 1, (1,), (1.0,))
         o = obs(0, jobs=(jv,), can_new=False)
-        assert decide(MaxRate(), o).plan == (((0,), 0),)
+        assert MaxRate().decide(o).plan == (((0,), 0),)
 
     def test_empty_queue_waits_when_cancel_window_dominates(self):
         jv = job(0, 1, (1,), (19.5,))  # residual mass at 0.5
@@ -209,7 +223,7 @@ class TestMaxRate:
         wait_rate = instantaneous_rate(o, Decision("wait"))
         rep_rate = instantaneous_rate(o, Decision("plan", (((0,), 0),)))
         assert wait_rate > rep_rate
-        assert decide(MaxRate(), o).kind == "wait"
+        assert MaxRate().decide(o).kind == "wait"
 
 
 def reference_maxrate(obs, include_cancel_delay=True):
@@ -430,33 +444,6 @@ class TestTabularDecisions:
             policy.decide(obs(0))
         with pytest.raises(PolicyError, match="no action tabulated"):
             TabularPolicy(table=(), classes=(0, 0)).decide(obs(0, dists=(LAW_B, LAW_B)))
-
-
-class TestObservationValidation:
-    def test_offered_server_in_replica_set(self):
-        jv = job(0, 0, (0,), (1.0,))
-        bad = Observation(
-            server=0,
-            idle_servers=(0,),
-            jobs=(jv,),
-            can_new=True,
-            dists=EXAMPLE_DISTS,
-            delta=0.0,
-        )
-        with pytest.raises(InconsistentObservationError):
-            decide(NoRep(), bad)
-
-    def test_offered_server_must_be_idle(self):
-        bad = Observation(
-            server=1,
-            idle_servers=(0,),
-            jobs=(),
-            can_new=True,
-            dists=EXAMPLE_DISTS,
-            delta=0.0,
-        )
-        with pytest.raises(InconsistentObservationError):
-            decide(NoRep(), bad)
 
 
 class TestParsing:
