@@ -121,7 +121,7 @@ def cmd_analytic(cfg: ExperimentConfig, args):
             row = _base_row(cfg, point)
             try:
                 row.update(_analytic_row(spec, system))
-            except RepliqError as exc:
+            except (RepliqError, ValueError) as exc:  # ValueError: a malformed literal
                 row.update(policy=spec, params="", throughput="", error=str(exc))
             rows.append(row)
     return rows, fields

@@ -2,8 +2,10 @@
 
 Plain ``key = value`` lines with ``#`` comments.  Distribution and policy
 literals follow the grammars in :mod:`repliq.distributions` and
-:mod:`repliq.policies`.  A single sweep axis substitutes ``$name`` inside
-any literal, so one config regenerates a whole figure's worth of rows.
+:mod:`repliq.policies`; every number in them, and in ``delta``, ``lambdas``
+and ``sweep``, may be arithmetic such as ``1/2``.  A single sweep axis
+substitutes ``$name`` inside any literal, so one config regenerates a whole
+figure's worth of rows.
 
 Example::
 
@@ -20,10 +22,10 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .distributions import parse_distribution, parse_number
+from .distributions import parse_number, parse_servers
 from .engine import SystemConfig
 from .errors import ConfigError
-from .policies import parse_policy
+from .policies import UpfrontRep, parse_policy
 
 _KNOWN_KEYS = {
     "servers",
@@ -41,10 +43,16 @@ _KNOWN_KEYS = {
     "out",
 }
 
+_CHOICES = {
+    "mode": ("saturated", "poisson"),
+    "bound": ("auto", "pause", "homogeneous", "both"),
+    "estimator": ("exact", "monte-carlo"),
+}
+
 
 @dataclass
 class ExperimentConfig:
-    servers_raw: tuple
+    servers_raw: str
     delta_raw: str = "0"
     policies_raw: tuple = ()
     mode: str = "saturated"
@@ -76,9 +84,7 @@ class ExperimentConfig:
 
     def materialize_system(self, point):
         try:
-            servers = tuple(
-                parse_distribution(self._subst(s, point)) for s in self.servers_raw
-            )
+            servers = parse_servers(self._subst(self.servers_raw, point))
             delta = parse_number(self._subst(self.delta_raw, point))
             return SystemConfig(servers=servers, delta=delta)
         except ValueError as exc:
@@ -91,6 +97,14 @@ class ExperimentConfig:
             policies = tuple(parse_policy(p) for p in self.policy_specs(point))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for policy in policies:
+            # an upfront partition covers every server; adarep's pairs name
+            # only servers the system has
+            if (
+                isinstance(policy, UpfrontRep) and policy.partition.k != system.k
+                or any(max(o, t) >= system.k for o, t, _ in getattr(policy, "thresholds", ()))
+            ):
+                raise ConfigError(f"policy {policy.spec()} does not fit {system.k} servers")
         return system, policies
 
 
@@ -111,22 +125,20 @@ def parse_config(text: str) -> ExperimentConfig:
     if "servers" not in values:
         raise ConfigError("config must define servers")
     cfg = ExperimentConfig(
-        servers_raw=tuple(split_top_level(values["servers"])),
+        servers_raw=values["servers"],
         digest=hashlib.sha256(repr(sorted(values.items())).encode()).hexdigest()[:12],
     )
-    if not cfg.servers_raw:
-        raise ConfigError("servers list is empty")
     if "delta" in values:
         cfg.delta_raw = values["delta"]
     if "policies" in values:
         cfg.policies_raw = tuple(
             p.strip() for p in values["policies"].split(";") if p.strip()
         )
-    if "mode" in values:
-        mode = values["mode"].lower()
-        if mode not in ("saturated", "poisson"):
-            raise ConfigError(f"mode must be saturated or poisson, got {mode!r}")
-        cfg.mode = mode
+    for key, allowed in _CHOICES.items():
+        choice = values.get(key, getattr(cfg, key)).lower()
+        if choice not in allowed:
+            raise ConfigError(f"{key} must be {'/'.join(allowed)}, got {choice!r}")
+        setattr(cfg, key, choice)
     if "lambdas" in values:
         cfg.lambdas = tuple(_parse_number_list(values["lambdas"]))
         for lam in cfg.lambdas:
@@ -149,16 +161,6 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.sweep_values = tuple(_parse_number_list(vals))
         if not cfg.sweep_values:
             raise ConfigError(f"sweep {values['sweep']!r} has no values")
-    if "bound" in values:
-        kind = values["bound"].lower()
-        if kind not in ("auto", "pause", "homogeneous", "both"):
-            raise ConfigError(f"bound must be auto/pause/homogeneous/both, got {kind!r}")
-        cfg.bound = kind
-    if "estimator" in values:
-        est = values["estimator"].lower()
-        if est not in ("exact", "monte-carlo"):
-            raise ConfigError(f"estimator must be exact or monte-carlo, got {est!r}")
-        cfg.estimator = est
     if "out" in values:
         cfg.out = values["out"]
     if cfg.mode == "poisson" and not cfg.lambdas:
@@ -167,31 +169,12 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def split_top_level(text: str, sep: str = ","):
-    """Split on sep outside any brackets (literals contain their own commas)."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in parts if p]
-
-
 def _parse_number_list(text: str):
     text = text.strip()
     try:
         if text.count(":") != 2:
-            return [float(x) for x in text.split(",") if x.strip()]
-        start, stop, step = (float(x) for x in text.split(":"))
+            return [parse_number(x) for x in text.split(",") if x.strip()]
+        start, stop, step = (parse_number(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}: {exc}") from exc
     if not all(math.isfinite(x) for x in (start, stop, step)):

@@ -773,6 +773,16 @@ def parse_distribution(text: str) -> ServiceDistribution:
     return value
 
 
+def parse_servers(text: str) -> tuple:
+    """Parse a comma-separated list of distribution literals, such as a
+    config's servers line; raises ValueError on anything else."""
+    value = _eval_literal(text, "servers")
+    laws = value if isinstance(value, list) else [value]
+    if not laws or not all(isinstance(d, ServiceDistribution) for d in laws):
+        raise ValueError(f"{text!r} is not a list of distribution literals")
+    return tuple(laws)
+
+
 def parse_number(text: str) -> float:
     """Parse arithmetic on numbers and inf, such as ``1/2``; raises
     ValueError on anything else."""

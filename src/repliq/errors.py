@@ -17,7 +17,7 @@ class DegenerateTruncationError(RepliqError):
     """A positive threshold produced a zero truncated mean."""
 
 
-class InvalidPartitionError(RepliqError):
+class InvalidPartitionError(RepliqError, ValueError):
     """Server groups do not form a partition of the server set."""
 
 

@@ -51,6 +51,7 @@ class MdpKernel:
     delta: float
     classes: tuple = None  # law classes of the servers; None when all laws differ
     step: object = 1  # time per tick of the states' elapsed and cancel counts (a Fraction)
+    plans: dict = None  # action label -> its refill plan; None for "null" and "advance"
 
     @property
     def n_states(self):
@@ -100,6 +101,7 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     actions = []
     # one pool per type, because 1 == 1.0 == True hash alike
     labels, floats, transitions = {}, {}, {}
+    plans = {}
     residuals = {}
     canonicals = {}
 
@@ -143,8 +145,9 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     while frontier < len(states):
         state = states[frontier]
         acts = []
-        for label, occupancy in _enumerate_actions(state, k):
+        for label, occupancy, plan in _enumerate_actions(state, k):
             label = labels.setdefault(label, label)
+            plans.setdefault(label, plan)
             if occupancy is None:  # null step of a multi-departure chain
                 jobs, elapsed, cancel, pending = state
                 idx = intern((jobs, elapsed, cancel, pending - 1))
@@ -166,21 +169,22 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
         actions.append(acts)
         frontier += 1
     return MdpKernel(
-        states=states, actions=actions, k=k, delta=delta, classes=classes, step=step
+        states=states, actions=actions, k=k, delta=delta, classes=classes, step=step, plans=plans
     )
 
 
 def _enumerate_actions(state, k):
-    """(label, occupancy) pairs; occupancy None marks the null step."""
+    """(label, occupancy, plan) triples; occupancy None marks the null step,
+    plan None the null and advance steps."""
     jobs, elapsed, cancel, pending = state
     if pending > 0:
-        return [("null", None)]
+        return [("null", None, None)]
     busy = {s for job in jobs for s in job}
     assignable = tuple(
         s for s in range(k) if s not in busy and cancel[s] == 0.0
     )
     if not assignable:
-        return [("advance", (jobs, elapsed, cancel))]
+        return [("advance", (jobs, elapsed, cancel), None)]
     out = []
     for plan in _refill_plans(assignable, jobs):
         new_jobs = list(jobs)
@@ -193,8 +197,9 @@ def _enumerate_actions(state, k):
                 new_jobs[i] = tuple(sorted(target + tuple(group)))
             for s in group:
                 new_elapsed[s] = 0.0
+        plan = tuple(sorted(plan))
         out.append(
-            (_plan_label(plan), (tuple(sorted(new_jobs)), tuple(new_elapsed), cancel))
+            (_plan_label(plan), (tuple(sorted(new_jobs)), tuple(new_elapsed), cancel), plan)
         )
     return sorted(out)
 
@@ -229,7 +234,7 @@ def _set_partitions(items):
 
 def _plan_label(plan):
     parts = []
-    for group, target in sorted(plan):
+    for group, target in plan:
         g = ",".join(str(s + 1) for s in group)
         if target == "new":
             parts.append(f"new[{g}]")
@@ -550,26 +555,8 @@ def as_tabular_policy(kernel: MdpKernel, solution: MdpSolution) -> TabularPolicy
     """Wrap the solved policy so the event-driven simulator can replay it."""
     table = []
     for s, state in enumerate(kernel.states):
-        jobs, elapsed, cancel, pending = state
-        if pending > 0:
-            continue
         label, _ = kernel.actions[s][solution.choices[s]]
-        if label == "advance":
-            continue
-        plan = _plan_from_label(label)
-        table.append(((jobs, elapsed, cancel), plan))
+        plan = kernel.plans[label]
+        if plan is not None:
+            table.append((state[:3], plan))
     return TabularPolicy(table=tuple(table), classes=kernel.classes)
-
-
-def _plan_from_label(label):
-    plan = []
-    for part in label.split("+"):
-        if part.startswith("new["):
-            group = tuple(int(x) - 1 for x in part[4:-1].split(","))
-            plan.append((group, "new"))
-        else:
-            left, right = part.split("->")
-            group = tuple(int(x) - 1 for x in left[4:-1].split(","))
-            target = tuple(int(x) - 1 for x in right[1:-1].split(","))
-            plan.append((group, target))
-    return tuple(plan)

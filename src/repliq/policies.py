@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .analytic import Partition
-from .distributions import _fmt, _lattice_step, min_expectation
+from .distributions import _eval_literal, _fmt, _lattice_step, min_expectation, parse_number
 from .errors import PolicyError
 
 INF = float("inf")
@@ -425,10 +425,10 @@ def _expected_departure(replicas, dists, delta):
 
 # ---------------------------------------------------------------------------
 # Policy literal grammar: norep | fullrep | upfront:[[1,2],[3]] | maxrate |
-# adarep:{1->2:inf, 2->1:1.0} | adarep-hom:[0.1,0.2].  Server indices in
-# literals are 1-based.
+# adarep:{1->2:inf, 2->1:1.0} | adarep-hom:[0.1,0.2].  Server labels are
+# 1-based; numbers take the arithmetic of distributions._eval_literal (1/2).
 
-_ADAREP_ITEM = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*:\s*(inf|[-+0-9.eE]+)\s*$")
+_ADAREP_ITEM = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*:(.*)$")
 
 
 def parse_policy(text: str) -> Policy:
@@ -442,8 +442,10 @@ def parse_policy(text: str) -> Policy:
     if head == "maxrate":
         return MaxRate(include_cancel_delay=args.strip() != "nodelta")
     if head == "upfront":
-        groups = _parse_nested_ints(args)
-        return UpfrontRep(Partition(tuple(frozenset(s - 1 for s in g) for g in groups)))
+        groups = _eval_literal(args, "upfront")
+        if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+            raise ValueError(f"upfront groups must be [[...],...], got {args!r}")
+        return UpfrontRep(Partition(tuple(frozenset(map(_server_index, g)) for g in groups)))
     if head == "adarep":
         body = args.strip()
         if not (body.startswith("{") and body.endswith("}")):
@@ -455,26 +457,19 @@ def parse_policy(text: str) -> Policy:
             m = _ADAREP_ITEM.match(item)
             if not m:
                 raise ValueError(f"bad adarep threshold item {item!r}")
-            o, t, v = int(m.group(1)) - 1, int(m.group(2)) - 1, m.group(3)
-            table[(o, t)] = INF if v == "inf" else float(v)
+            o, t = _server_index(int(m.group(1))), _server_index(int(m.group(2)))
+            table[(o, t)] = parse_number(m.group(3))
         return AdaRep(thresholds=table)
     if head == "adarep-hom":
-        vals = args.strip()
-        if not (vals.startswith("[") and vals.endswith("]")):
+        taus = _eval_literal(args, "adarep-hom")
+        if not isinstance(taus, list) or not all(isinstance(t, float) for t in taus):
             raise ValueError(f"adarep-hom thresholds must be [t1,t2,...], got {args!r}")
-        taus = tuple(
-            INF if v.strip() == "inf" else float(v)
-            for v in vals[1:-1].split(",")
-            if v.strip()
-        )
-        return AdaRep(homogeneous=taus)
+        return AdaRep(homogeneous=tuple(taus))
     raise ValueError(f"unknown policy literal {text!r}")
 
 
-def _parse_nested_ints(text):
-    import ast as _ast
-
-    value = _ast.literal_eval(text.strip())
-    if not isinstance(value, list) or not all(isinstance(g, list) for g in value):
-        raise ValueError(f"expected [[...],...], got {text!r}")
-    return value
+def _server_index(label):
+    """0-based index of a 1-based server label; ValueError unless an integer >= 1."""
+    if not isinstance(label, (int, float)) or not 1 <= label < INF or label % 1:
+        raise ValueError(f"server labels are integers >= 1, got {label!r}")
+    return int(label) - 1

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from repliq.cli import main
-from repliq.config import parse_config, split_top_level
+from repliq.config import parse_config
 from repliq.errors import ConfigError
 from repliq.policies import parse_policy
 
@@ -56,9 +56,9 @@ class TestConfigParsing:
         cfg = parse_config("servers = exp(1)\nsweep = a: 0.1:0.5:0.1\n")
         assert cfg.sweep_points() == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
 
-    def test_split_top_level_respects_brackets(self):
-        parts = split_top_level("det(2), finite([(1,0.9),(20,0.1)]), exp(1)")
-        assert len(parts) == 3
+    def test_servers_line_respects_brackets(self):
+        cfg = parse_config("servers = det(2), finite([(1,0.9),(20,0.1)]), exp(1)\n")
+        assert cfg.materialize_system(None).k == 3
 
     @pytest.mark.parametrize(
         "text",
@@ -124,6 +124,12 @@ class TestAnalyticCommand:
         code, rows, _ = run_cli(tmp_path, ["analytic"], text)
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("policy", ["upfront:[1,2]", "upfront:[[1,2]", "upfront:[[1],[3]]"])
+    def test_malformed_policy_literal_is_an_error_row(self, tmp_path, policy):
+        code, rows, _ = run_cli(tmp_path, ["analytic"], EXAMPLE1.replace("norep; fullrep", policy))
+        assert code == 0
+        assert rows[0]["throughput"] == "" and rows[0]["error"]
 
     def test_row_level_numeric_error(self, tmp_path):
         text = "servers = pareto(0.5,0.9)\npolicies = norep\n"
@@ -219,6 +225,45 @@ class TestSimulateCommand:
         code, rows, _ = run_cli(tmp_path, ["simulate"], text)
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "servers,policy",
+        [
+            ("det(2), det(3)", "upfront:[[1,2]"),  # unclosed bracket
+            ("det(2), det(3)", "upfront:[[1,2],[2]]"),  # overlapping groups
+            ("det(2), det(3)", "upfront:[[1],[3]]"),  # skips server 2
+            ("det(2), det(3), det(4)", "upfront:[[1.5,2],[3]]"),
+            ("det(2), det(3), det(4)", "upfront:[[1,2]]"),  # leaves server 3 out
+            ("det(2), det(3)", "adarep:{0->1:1}"),
+            ("det(2), det(3)", "adarep:{1->5:1}"),
+            ("det(2), , det(3)", "norep"),
+        ],
+    )
+    def test_malformed_literal_exits_two(self, tmp_path, capsys, servers, policy):
+        text = f"servers = {servers}\npolicies = {policy}\n"
+        code, rows, _ = run_cli(tmp_path, ["simulate", "--jobs", "50"], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_arithmetic_lambdas_write_the_decimal_rows(self, tmp_path):
+        text = EXAMPLE1 + "mode = poisson\njobs = 200\nruns = 2\nlambdas = "
+        outs = [run_cli(tmp_path, ["simulate"], text + lams)[1] for lams in ("1/2, 3/4", "0.5, 0.75")]
+        for rows in outs:
+            for row in rows:
+                del row["config"]  # the digest of the config text
+        assert len(outs[0]) == 4 and outs[0] == outs[1]
+
+    def test_arithmetic_thresholds_write_the_decimal_rows(self, tmp_path):
+        text = "servers = " + ", ".join(["finite([(1,0.9),(20,0.1)])"] * 3) + "\njobs = 2000\n"
+        code, swept, _ = run_cli(
+            tmp_path, ["simulate"], text + "policies = adarep-hom:[$t, 2*$t]\nsweep = t: 0.25, 1.5\n"
+        )
+        assert code == 0 and len(swept) == 2
+        for row, taus in zip(swept, ("0.25, 0.5", "1.5, 3")):
+            code, (plain,), _ = run_cli(tmp_path, ["simulate"], text + f"policies = adarep-hom:[{taus}]\n")
+            assert code == 0
+            del row["config"], row["t"], plain["config"]
+            assert row == plain
 
     @pytest.mark.parametrize("policy", ["adarep-hom:[nan]", "adarep-hom:[0.5,nan]"])
     def test_nan_threshold_exits_two(self, tmp_path, capsys, policy):
@@ -333,6 +378,27 @@ def _run_experiment(tmp_path, command, name):
     return list(csv.DictReader(io.StringIO("\n".join(body))))
 
 
+# the number of laws each shipped config's servers line writes
+SHIPPED_K = {
+    "bound_exponential_pair.cfg": 2,
+    "bound_hyperexp_k3.cfg": 3,
+    "bound_hyperexp_k6_mc.cfg": 6,
+    "bound_p_sweep.cfg": 2,
+    "example1_analytic.cfg": 2,
+    "example1_simulate.cfg": 2,
+    "homog_best_r.cfg": 10,
+    "homog_k6_simulate.cfg": 6,
+    "hyperexp_vs_p2.cfg": 2,
+    "maxrate_p_sweep.cfg": 2,
+    "mdp_example1.cfg": 2,
+    "mdp_k5_delay.cfg": 5,
+    "mdp_k5_identical.cfg": 5,
+    "mdp_lattice.cfg": 2,
+    "pareto_vs_alpha.cfg": 2,
+    "response_time.cfg": 2,
+}
+
+
 class TestShippedExperiments:
     @pytest.mark.parametrize(
         "path",
@@ -345,7 +411,7 @@ class TestShippedExperiments:
         cfg = parse_config(path.read_text())
         for point in cfg.sweep_points():
             system = cfg.materialize_system(point)
-            assert system.k == len(cfg.servers_raw)
+            assert system.k == SHIPPED_K[path.name]
             for spec in cfg.policy_specs(point):
                 if spec not in ("best-partition", "best-r"):
                     policy = parse_policy(spec)

@@ -342,6 +342,38 @@ class TestCrossValidation:
         assert all("jobs=" in state and action for state, action in rows)
 
 
+def _plan_from_label(label):
+    """Read a plan back from the label the kernel writes for it."""
+    plan = []
+    for part in label.split("+"):
+        if part.startswith("new["):
+            plan.append((tuple(int(x) - 1 for x in part[4:-1].split(",")), "new"))
+        else:
+            left, right = part.split("->")
+            group = tuple(int(x) - 1 for x in left[4:-1].split(","))
+            plan.append((group, tuple(int(x) - 1 for x in right[1:-1].split(","))))
+    return tuple(plan)
+
+
+class TestPlans:
+    @pytest.mark.parametrize(
+        "ds,delta",
+        [(EXAMPLE_DISTS, 0.0), (THREE_TWO_ATOM, 1.0), (LATTICE_DISTS, 0.1)],
+        ids=["example", "k3", "lattice"],
+    )
+    def test_plans_match_their_labels(self, ds, delta):
+        kernel = build_mdp(ds, delta)
+        for label, plan in kernel.plans.items():
+            assert plan == (None if label in ("null", "advance") else _plan_from_label(label))
+        solution = solve_average_cost(kernel)
+        table = []
+        for state, acts, choice in zip(kernel.states, kernel.actions, solution.choices):
+            label, _ = acts[choice]
+            if state[3] == 0 and label != "advance":
+                table.append((state[:3], _plan_from_label(label)))
+        assert as_tabular_policy(kernel, solution).table == tuple(table)
+
+
 def _lattice_law(rng, per_unit):
     """A law on steps of 1/per_unit: half the time a straggler (one to three
     steps mostly, eight to twelve at times), else one to three atoms among
