@@ -22,7 +22,8 @@ _TIE_REL = 1e-12
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty server groups covering servers 0..K-1."""
+    """Disjoint nonempty server groups covering servers 0..K-1; errors name
+    servers by their 1-based labels, as configs and output do."""
 
     groups: tuple
 
@@ -34,11 +35,12 @@ class Partition:
         seen = set()
         for g in groups:
             if seen & g:
-                raise InvalidPartitionError(f"overlapping groups: {sorted(seen & g)}")
+                overlap = sorted(s + 1 for s in seen & g)
+                raise InvalidPartitionError(f"overlapping groups: {overlap}")
             seen |= g
         if seen != set(range(len(seen))):
             raise InvalidPartitionError(
-                f"groups must cover servers 0..{len(seen) - 1}, got {sorted(seen)}"
+                f"groups must cover servers 1..{len(seen)}, got {sorted(s + 1 for s in seen)}"
             )
 
     @property
@@ -49,7 +51,7 @@ class Partition:
         for g in self.groups:
             if server in g:
                 return g
-        raise InvalidPartitionError(f"server {server} not in partition")
+        raise InvalidPartitionError(f"server {server + 1} not in partition")
 
     def __str__(self):
         parts = sorted(sorted(g) for g in self.groups)

@@ -66,7 +66,7 @@ class MdpSolution:
     iterations: int
     method: str
     span: float = math.nan  # final span of the last relative value iteration
-    bisection_rounds: int = 0  # halvings of the departure charge; 0 without bisection
+    bisection_rounds: int = 0  # rounds on the departure charge after its bracket; 0 for plain RVI
 
 
 def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
@@ -312,9 +312,10 @@ def solve_average_cost(kernel: MdpKernel, tol: float = 1e-9, max_iters: int = 20
     standard per-step problem directly.  Otherwise zero-departure epochs
     make the horizon a transition-dependent count; the optimal cost per
     departure is then the root of g -> (minimal per-step average of
-    cost - g * departures), a decreasing function, found by bisection with
-    the same iteration inside.  The chain induced by the returned policy is
-    verified to have a single recurrent class.
+    cost - g * departures), a decreasing function, found by false position
+    on g with the same iteration inside, warm-started from round to round
+    (_solve_with_departure_gaps).  The chain induced by the returned policy
+    is verified to have a single recurrent class.
     """
     flat = _flatten(kernel)
     if np.count_nonzero(flat.departs) == len(flat.departs):  # departures are 0 or 1
@@ -402,7 +403,7 @@ def _position_major(counts):
     return rank, slot, sizes.tolist()
 
 
-def _rvi_per_step(flat, departure_charge, tol, max_iters, damping=0.5):
+def _rvi_per_step(flat, departure_charge, tol, max_iters, damping=0.5, h=None):
     """Relative value iteration on per-transition costs c - charge * d.
 
     Returns (per-step average cost under the optimal policy, greedy
@@ -410,7 +411,9 @@ def _rvi_per_step(flat, departure_charge, tol, max_iters, damping=0.5):
     chains contracting in the span seminorm.  Each row sum adds its terms
     left to right from 0.0 and each state keeps the first action that
     beats the best so far by more than 1e-15, so the result is the same to
-    the last bit as the per-state loop over the kernel's tuples.
+    the last bit as the per-state loop over the kernel's tuples.  The
+    relative values start at h, zeros by default; a given h is updated in
+    place and holds the last relative values on return.
     """
     n = len(flat.state_rank)
     base = flat.cost - departure_charge * flat.departs
@@ -429,7 +432,8 @@ def _rvi_per_step(flat, departure_charge, tol, max_iters, damping=0.5):
     for a, size in enumerate(flat.pick_sizes):
         picks.append((a, vals[offset : offset + size], best[:size], choice[:size]))
         offset += size
-    h = np.zeros(n)
+    if h is None:
+        h = np.zeros(n)
     span = INF
     for it in range(1, max_iters + 1):
         np.take(h, flat.target, out=terms)
@@ -451,34 +455,46 @@ def _rvi_per_step(flat, departure_charge, tol, max_iters, damping=0.5):
         if span < tol:
             choices = choice[flat.state_rank].tolist()
             return float(0.5 * (diff.max() + diff.min())), choices, it, float(span)
-        h = damping * (w - w[0]) + (1.0 - damping) * h
+        h[:] = damping * (w - w[0]) + (1.0 - damping) * h
     raise NoConvergenceError(f"span {span:.3e} after {max_iters} iterations")
 
 
 def _solve_with_departure_gaps(k, flat, tol, max_iters):
+    """Root of phi(g) = minimal per-step average of cost - g * departures.
+
+    phi is concave, piecewise linear and decreasing, with phi(0) > 0 the
+    least per-step cost.  Doubling g brackets the root; Illinois false
+    position (Dowell & Jarratt, BIT 1971) then closes the bracket, halving
+    the stored phi of an end kept twice in a row.  Each value iteration
+    starts from the relative values of the one before.
+    """
     inner_tol = min(tol, 1e-10)
+    h = np.zeros(len(flat.state_rank))
+    iters = 0
 
     def phi(g):
-        return _rvi_per_step(flat, g, inner_tol, max_iters)
+        nonlocal iters
+        value, choices, it, span = _rvi_per_step(flat, g, inner_tol, max_iters, h=h)
+        iters += it
+        return value, choices, span
 
-    lo, hi = 0.0, 1.0
-    iters = 0
-    value, choices, it, span = phi(hi)
-    iters += it
-    while value > 0.0:
-        lo, hi = hi, hi * 2.0
+    lo, f_lo, hi = 0.0, None, 1.0
+    f_hi, _, _ = phi(hi)
+    while f_hi > 0.0:
+        lo, f_lo, hi = hi, f_hi, hi * 2.0
         if hi > 1e12:
             raise NoConvergenceError("cost per departure appears unbounded")
-        value, choices, it, span = phi(hi)
-        iters += it
+        f_hi, _, _ = phi(hi)
+    if f_lo is None:
+        f_lo, _, _ = phi(lo)
+    kept = 0  # +1 while lo moves and hi stays, -1 the other way
     for rounds in range(1, 201):
-        mid = 0.5 * (lo + hi)
-        value, choices, it, span = phi(mid)
-        iters += it
-        if abs(value) < tol or (hi - lo) < tol * max(1.0, mid):
+        g = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        value, choices, span = phi(g)
+        if abs(value) < tol or (hi - lo) < tol * max(1.0, g):
             return MdpSolution(
-                gain=mid,
-                throughput=k / mid,
+                gain=g,
+                throughput=k / g,
                 choices=choices,
                 iterations=iters,
                 method="bisection-rvi",
@@ -486,10 +502,16 @@ def _solve_with_departure_gaps(k, flat, tol, max_iters):
                 bisection_rounds=rounds,
             )
         if value > 0.0:
-            lo = mid
+            lo, f_lo = g, value
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    raise NoConvergenceError("bisection on the departure charge did not close")
+            hi, f_hi = g, value
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    raise NoConvergenceError("false position on the departure charge did not close")
 
 
 def _verify_unichain(kernel, choices, start=0):

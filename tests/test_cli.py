@@ -245,6 +245,19 @@ class TestSimulateCommand:
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "policy,message",
+        [
+            ("upfront:[[1],[3]]", "groups must cover servers 1..2, got [1, 3]"),
+            ("upfront:[[1,2],[2]]", "overlapping groups: [2]"),
+        ],
+    )
+    def test_partition_errors_name_servers_as_written(self, tmp_path, capsys, policy, message):
+        text = f"servers = det(2), det(3)\npolicies = {policy}\n"
+        code, _, _ = run_cli(tmp_path, ["simulate", "--jobs", "50"], text)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_arithmetic_lambdas_write_the_decimal_rows(self, tmp_path):
         text = EXAMPLE1 + "mode = poisson\njobs = 200\nruns = 2\nlambdas = "
         outs = [run_cli(tmp_path, ["simulate"], text + lams)[1] for lams in ("1/2, 3/4", "0.5, 0.75")]
@@ -393,6 +406,7 @@ SHIPPED_K = {
     "mdp_example1.cfg": 2,
     "mdp_k5_delay.cfg": 5,
     "mdp_k5_identical.cfg": 5,
+    "mdp_k6_delay.cfg": 6,
     "mdp_lattice.cfg": 2,
     "pareto_vs_alpha.cfg": 2,
     "response_time.cfg": 2,
