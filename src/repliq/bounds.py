@@ -12,6 +12,11 @@ Two bounding routes:
 
 Both are searched by _minimise over the candidates of _candidates.
 
+The exact cost of a start-time vector has one path for every law: each
+copy's overshoot is an integral of the joint tail of the finishing time
+(product_tail_integral: step sums for atomic laws, closed forms for
+exponential mixtures, quadrature otherwise), which is polynomial in K.
+
 The Monte-Carlo cost reuses one set of common random draws for every
 start-time vector.  The draws are made path-major, (n_paths, K) from one
 generator call, and held one contiguous row per copy, so a cost is a short
@@ -25,7 +30,6 @@ descent step and bound, has the bits of the path-major reductions.
 """
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    FiniteSupport,
     ServiceDistribution,
     _check_delta,
     _golden,
@@ -134,9 +139,6 @@ class StartTimeVector:
             raise ValueError(f"start times must be nondecreasing, got {starts}")
 
 
-_ENUM_GUARD = 2_000_000
-
-
 def homogeneous_cost(
     d: ServiceDistribution,
     delta: float,
@@ -154,11 +156,10 @@ def homogeneous_cost(
     server whenever at least one replica launched, as the simulator and the
     decision process charge it.
 
-    estimator="exact": exact enumeration for atomic laws, tail-product
-    integrals otherwise (closed form for exponential mixtures, else
-    quadrature).  estimator="monte-carlo": n_paths >= 2 common-random-number
-    sample paths.  Returns (mean, stderr); stderr is 0 for the exact
-    path.
+    estimator="exact": tail-product integrals for every law (step sums for
+    atomic laws, closed form for exponential mixtures, else quadrature).
+    estimator="monte-carlo": n_paths >= 2 common-random-number sample
+    paths.  Returns (mean, stderr); stderr is 0 for the exact path.
     """
     _check_delta(delta)
     _check_paths(estimator, n_paths)
@@ -172,11 +173,6 @@ def homogeneous_cost(
         return _cost_from_draws(_crn_draws, all_starts, delta)
     if estimator != "exact":
         raise ValueError(f"unknown estimator {estimator!r}")
-
-    atoms = d._atoms()
-    if atoms is not None:
-        step = _lattice_step((d,))
-        return _cost_exact_atomic(atoms, all_starts, delta, step), 0.0
     return _cost_tail_integrals(d, all_starts, delta), 0.0
 
 
@@ -194,53 +190,48 @@ def _check_paths(estimator, n_paths):
         raise ValueError(f"monte-carlo needs n_paths >= 2, got {n_paths}")
 
 
-def _cost_exact_atomic(atoms, all_starts, delta, step):
-    """Exact cost for atoms on a lattice of step step (None off one).  As
-    in the simulator, on a lattice that is no binary fraction a copy started
-    on it ends at the float nearest its multiple of step, so that a start
-    and an end due at one lattice point compare equal: 0.2 + 0.1 is not 0.3
-    in floats."""
-    active = [t for t in all_starts if t < INF]
-    if len(atoms) ** len(active) > _ENUM_GUARD:
-        raise ValueError(
-            f"{len(atoms)}^{len(active)} outcomes exceeds the enumeration guard"
-        )
-    ends = [[(v + t, p) for v, p in atoms] for t in active]
-    if step is not None and float(step) != step:
-        g = float(step)
-        for i, t in enumerate(active):
-            n = _ticks(t, g)
-            if _time_of(n, step) == t:
-                ends[i] = [(_time_of(n + _ticks(v, g), step), p) for v, p in atoms]
-    total = 0.0
-    for combo in itertools.product(*ends):
-        prob = 1.0
-        s = INF
-        for end, p in combo:
-            prob *= p
-            s = min(s, end)
-        cost = sum(max(s - t, 0.0) for t in active)
-        cost += delta * _delta_multiplier(s, all_starts)
-        total += prob * cost
-    return total
-
-
 def _cost_tail_integrals(d, all_starts, delta):
+    """E[sum over launched copies of (S - start)^+] plus the cancellation
+    charges, from integrals of the joint tail of the finishing time S."""
     active = [t for t in all_starts if t < INF]
-    comps = [(d, t, 1) for t in active]
+    comps = _copies(d, active)
     cost = 0.0
     for t in active:
         cost += product_tail_integral(comps, lower=t)
     if delta > 0.0 and len(all_starts) > 1:
         def joint_tail(x):
             out = 1.0
-            for t in active:
-                out *= d.tail(x - t)
+            for c, off, _ in comps:
+                out *= c.tail(x - off)
             return out
 
         mult = sum(joint_tail(t) for t in all_starts[1:]) + joint_tail(all_starts[1])
         cost += delta * mult
     return cost
+
+
+def _copies(d, active):
+    """(law, offset, 1) for the copies started at the times in active.  An
+    atomic copy is given as the law of its end times at offset 0: as in the
+    simulator, on a lattice that is no binary fraction a copy started on it
+    ends at the float nearest its multiple of the step, so that a start and
+    an end due at one lattice point compare equal (0.2 + 0.1 is not 0.3 in
+    floats).  Ends that round to one float merge their mass."""
+    atoms = d._atoms()
+    if atoms is None:
+        return [(d, t, 1) for t in active]
+    step = _lattice_step((d,))
+    snap = step is not None and float(step) != step
+    comps = []
+    for t in active:
+        n = _ticks(t, float(step)) if snap else 0
+        on = snap and _time_of(n, step) == t
+        ends = {}
+        for v, p in atoms:
+            end = _time_of(n + _ticks(v, float(step)), step) if on else v + t
+            ends[end] = min(1.0, ends.get(end, 0.0) + p)  # a law's masses may sum to 1 + 1e-12
+        comps.append((FiniteSupport(tuple(ends.items())), 0.0, 1))
+    return comps
 
 
 def _cost_from_draws(rows, all_starts, delta):
@@ -286,15 +277,6 @@ def _row_sum(terms):
     for x in terms[stop:]:
         total += x
     return total
-
-
-def _delta_multiplier(s, all_starts):
-    if len(all_starts) < 2:
-        return 0.0
-    mult = sum(1.0 for t in all_starts[1:] if t < s)
-    if all_starts[1] < s:
-        mult += 1.0
-    return mult
 
 
 def homogeneous_bound(

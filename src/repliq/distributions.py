@@ -134,9 +134,6 @@ class Deterministic(ServiceDistribution):
     def _residual(self, t):
         return Deterministic(self.value - t)
 
-    def sample(self, rng):
-        return self.value
-
     def sample_array(self, rng, n):
         return np.full(n, self.value)
 
@@ -222,9 +219,6 @@ class Shifted(ServiceDistribution):
             return Shifted(self.shift - t, self.inner)
         return self.inner.residual(t - self.shift)
 
-    def sample(self, rng):
-        return self.shift + self.inner.sample(rng)
-
     def sample_array(self, rng, n):
         return self.shift + self.inner.sample_array(rng, n)
 
@@ -294,10 +288,6 @@ class HyperExp(ServiceDistribution):
         tail = self.tail(t)
         p2 = self.p2 * math.exp(-self.rate2 * t) / tail
         return HyperExp(self.rate1, self.rate2, min(1.0, max(0.0, p2)))
-
-    def sample(self, rng):
-        branch_rate = self.rate2 if rng.random() < self.p2 else self.rate1
-        return -math.log1p(-rng.random()) / branch_rate
 
     def sample_array(self, rng, n):
         branch = rng.random(n) < self.p2

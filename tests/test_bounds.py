@@ -1,10 +1,13 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 import repliq.bounds as bounds_module
 from repliq.analytic import (
+    best_homogeneous_r,
     iter_partitions,
     throughput_fullrep,
     throughput_norep,
@@ -25,6 +28,9 @@ from repliq.distributions import (
     HyperExp,
     Pareto,
     Shifted,
+    _lattice_step,
+    _ticks,
+    _time_of,
     min_expectation,
 )
 from repliq.engine import SystemConfig, run_saturated
@@ -235,6 +241,117 @@ class TestHomogeneousCost:
         assert math.isfinite(mean) and math.isfinite(err)
         # the exact estimator draws no paths
         assert homogeneous_cost(Exponential(1.0), 0.1, (0.5,), n_paths=n_paths)[1] == 0.0
+
+
+def enumerated_cost(d, delta, starts):
+    """The exact start-time cost of an atomic law by enumerating every
+    outcome of the launched copies: the job ends at the least end time S,
+    each copy burns (S - start)^+, and delta is charged for each replica
+    started before S and once more when any is.  As in the simulator, on a
+    lattice that is no binary fraction a copy started on it ends at the
+    float nearest its multiple of the step.  An oracle for the
+    tail-integral cost, exponential in the number of copies."""
+    all_starts = (0.0,) + tuple(starts)
+    active = [t for t in all_starts if t < INF]
+    step = _lattice_step((d,))
+    ends = []
+    for t in active:
+        row = [(v + t, p) for v, p in d._atoms()]
+        if step is not None and float(step) != step:
+            n = _ticks(t, float(step))
+            if _time_of(n, step) == t:
+                row = [(_time_of(n + _ticks(v, float(step)), step), p) for v, p in d._atoms()]
+        ends.append(row)
+    total = 0.0
+    for combo in itertools.product(*ends):
+        s = min(end for end, _ in combo)
+        cost = sum(max(s - t, 0.0) for t in active)
+        if len(all_starts) > 1:
+            cost += delta * (sum(t < s for t in all_starts[1:]) + (all_starts[1] < s))
+        total += math.prod(p for _, p in combo) * cost
+    return total
+
+
+def atomic_oracle_cases():
+    """(law, delta, starts) from a fixed seed: 2-3 atoms on the lattices of
+    step 1, 1/2 and 1/10, 2 to 6 copies, delta in {0, 0.1, 1}, and starts
+    drawn from lattice points (some where an earlier copy may end), floats
+    off the lattice and infinity."""
+    rng = random.Random(2019)
+    cases = []
+    for den in (1, 2, 10):
+        for _ in range(25):
+            ticks = rng.sample(range(1, 16), rng.randint(2, 3))
+            weights = [rng.randint(1, 9) for _ in ticks]
+            d = FiniteSupport(tuple((n / den, w / sum(weights)) for n, w in zip(ticks, weights)))
+            for _ in range(4):
+                on = [0]  # ticks of the copies started on the lattice
+                starts = []
+                for _ in range(rng.randint(1, 5)):
+                    kind = rng.random()
+                    if kind < 0.6:
+                        if kind < 0.3:
+                            on.append(rng.randint(0, max(ticks) + 2))
+                        else:  # where a replica may end before the first copy
+                            base = rng.choice(on[1:] or on)
+                            on.append(base + rng.choice([n for n in ticks if base + n < max(ticks)] or ticks))
+                        starts.append(on[-1] / den)
+                    elif kind < 0.85:
+                        starts.append(rng.uniform(0.0, (max(ticks) + 2) / den))
+                    else:
+                        starts.append(INF)
+                cases.append((d, rng.choice((0.0, 0.1, 1.0)), tuple(sorted(starts))))
+    return cases
+
+
+class TestAtomicCostOracle:
+    """The exact cost of atomic laws is an integral of tail products, as
+    for every other law; outcome enumeration is its reference."""
+
+    def test_matches_enumeration(self):
+        for d, delta, starts in atomic_oracle_cases():
+            got, err = homogeneous_cost(d, delta, starts)
+            want = enumerated_cost(d, delta, starts)
+            assert err == 0.0
+            assert abs(got - want) <= 1e-13 * want, (d, delta, starts)
+
+    def test_a_replica_due_where_a_copy_ends(self):
+        # 0.2 + 0.1 is 0.30000000000000004: unsnapped, the copy started at
+        # 0.2 would end after the replica due at 0.3 and charge delta for it
+        d = FiniteSupport(((0.1, 0.5), (1.0, 0.5)))
+        want = enumerated_cost(d, 0.1, (0.2, 0.3))
+        assert want == pytest.approx(0.675, rel=1e-13)
+        assert homogeneous_cost(d, 0.1, (0.2, 0.3))[0] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "d,start",
+        [
+            # 2^60 + 1 and 2^60 + 2 round to 2^60
+            (FiniteSupport(((1.0, 0.5), (2.0, 0.5))), 2.0**60),
+            # masses that sum to 1 + 1e-13 merge into one of at most 1
+            (FiniteSupport(((1.0, 0.5), (2.0, 0.5 + 1e-13))), 2.0**60),
+            # the lattice points 10^18 + 0.1 and 10^18 + 0.2 round to 10^18
+            (FiniteSupport(((0.1, 0.5), (0.2, 0.5))), 1e18),
+        ],
+    )
+    def test_ends_that_round_to_one_float_merge(self, d, start):
+        for delta in (0.0, 1.0):
+            got, _ = homogeneous_cost(d, delta, (0.5, start))
+            assert got == pytest.approx(enumerated_cost(d, delta, (0.5, start)), rel=1e-13)
+
+    LAW_K7 = FiniteSupport(
+        ((1.0, 0.9), (2.0, 0.02), (3.0, 0.02), (4.0, 0.02), (5.0, 0.01), (6.0, 0.01), (7.0, 0.01), (40.0, 0.01))
+    )
+
+    def test_seven_copies_of_eight_atoms(self):
+        # 8^7 outcomes: more than the 2,000,000 the enumeration allowed
+        starts = (1.0, 2.0, 3.0, 4.0, 5.0, 8.0)
+        exact, _ = homogeneous_cost(self.LAW_K7, 0.0, starts)
+        mc, err = homogeneous_cost(
+            self.LAW_K7, 0.0, starts, estimator="monte-carlo", n_paths=400_000, seed=7
+        )
+        assert abs(mc - exact) <= 4 * err
+        assert homogeneous_bound(self.LAW_K7, 0.0, 7).value >= best_homogeneous_r(self.LAW_K7, 0.0, 7).bound
 
 
 def path_major_cost(draws, all_starts, delta):

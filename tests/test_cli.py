@@ -393,6 +393,7 @@ def _run_experiment(tmp_path, command, name):
 
 # the number of laws each shipped config's servers line writes
 SHIPPED_K = {
+    "bound_atomic_k7.cfg": 7,
     "bound_exponential_pair.cfg": 2,
     "bound_hyperexp_k3.cfg": 3,
     "bound_hyperexp_k6_mc.cfg": 6,
@@ -448,6 +449,13 @@ class TestShippedExperiments:
             "1.0611564168488834;1.1609229506290026;2.2889878508766826;"
             "3.0235727548624207;3.0235727548624207"
         )
+
+    def test_atomic_seven_server_bound_config(self, tmp_path):
+        # seven copies of an eight-atom law: 8^7 outcomes, too many to enumerate
+        (row,) = _run_experiment(tmp_path, "bound", "bound_atomic_k7.cfg")
+        assert (row["kind"], row["error"]) == ("homogeneous", "")
+        assert math.isfinite(float(row["bound"]))
+        assert len(row["optimizer"].split(";")) == 6
 
     def test_pareto_sweep_crossing(self, tmp_path):
         # heavy tails reward replication: full replication wins at small
