@@ -140,6 +140,8 @@ def _analytic_row(spec, system):
     elif head == "best-partition":
         _, rep = analytic.best_partition(ds, delta)
     elif head == "best-r":
+        if len(set(ds)) != 1:
+            raise ConfigError("best-r needs identical servers")
         hom = analytic.best_homogeneous_r(ds[0], delta, len(ds))
         return dict(
             policy="best-r",
@@ -265,7 +267,10 @@ def cmd_mdp(cfg: ExperimentConfig, args):
     rows = []
     for point in cfg.sweep_points():
         system, _ = cfg.materialize(point)
-        kernel = mdp.build_mdp(system.servers, system.delta)
+        try:
+            kernel = mdp.build_mdp(system.servers, system.delta)
+        except ValueError as exc:  # a law the decision process cannot take
+            raise ConfigError(str(exc)) from exc
         solution = mdp.solve_average_cost(kernel)
         row = _base_row(cfg, point)
         row.update(

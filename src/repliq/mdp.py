@@ -17,9 +17,10 @@ the simulator's clock in ticks of the same g (TabularPolicy, engine).
 Relabelling servers that share a law maps states onto states with equal
 transition laws, so the chain is lumpable (Kemeny & Snell, Finite Markov
 Chains, 1960): the kernel holds one canonical state per orbit
-(policies.canonical_state) and has the optimal gain of the full chain.
-Four servers finite([(1,0.8),(8,0.2)]) give 501 canonical states instead
-of 8124.  A mix with no two equal laws keeps every state as it is.
+(policies.canonical_state) and one action per canonical occupancy, and
+has the optimal gain of the full chain.  Four servers
+finite([(1,0.8),(8,0.2)]) give 501 canonical states instead of 8124.  A
+mix with no two equal laws keeps every state and plan as it is.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analytic import iter_partitions
 from .distributions import _check_delta, _fmt, _lattice_step, _ticks, _time_of
 from .errors import (
     MultichainError,
@@ -80,14 +82,15 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     in state_string.  When two servers share a law, every state is interned
     in canonical form and each outcome of a step is canonicalised before
     outcomes are grouped, so the probabilities of outcomes in one orbit
-    add up in one transition; actions are enumerated from canonical states.
-    state_cap counts canonical states.  Equal labels, floats and
+    add up in one transition; each canonical state gets one action per
+    canonical occupancy.  Atoms must be positive, else a copy that outlived
+    a zero atom looks fresh.  state_cap counts canonical states.  Equal labels, floats and
     transitions share one object.
     """
     ds = tuple(ds)
     for d in ds:
-        if d._atoms() is None:
-            raise ValueError(f"decision process needs finite-support laws, got {d}")
+        if d._atoms() is None or min(d._atoms())[0] <= 0:
+            raise ValueError(f"decision process needs atomic laws with positive atoms, got {d}")
     _check_delta(delta)
     step = _lattice_step(ds, delta)
     if step is None:
@@ -145,7 +148,7 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     while frontier < len(states):
         state = states[frontier]
         acts = []
-        for label, occupancy, plan in _enumerate_actions(state, k):
+        for label, occupancy, plan in _enumerate_actions(state, k, classes):
             label = labels.setdefault(label, label)
             plans.setdefault(label, plan)
             if occupancy is None:  # null step of a multi-departure chain
@@ -173,63 +176,46 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     )
 
 
-def _enumerate_actions(state, k):
-    """(label, occupancy, plan) triples; occupancy None marks the null step,
-    plan None the null and advance steps."""
+def _enumerate_actions(state, k, classes):
+    """(label, occupancy, plan) triples sorted by label; occupancy None marks
+    the null step, plan None the null and advance steps.  Of the plans that
+    differ by relabelling equal-law servers only the least label is kept: a
+    plan's key pairs each group's sorted law classes with its target's sorted
+    (class, elapsed) pairs, () for a new job, and as busy copies have elapsed
+    > 0, equal keys mean equal canonical occupancies."""
     jobs, elapsed, cancel, pending = state
     if pending > 0:
         return [("null", None, None)]
     busy = {s for job in jobs for s in job}
-    assignable = tuple(
-        s for s in range(k) if s not in busy and cancel[s] == 0.0
-    )
+    assignable = [s for s in range(k) if s not in busy and cancel[s] == 0.0]
     if not assignable:
         return [("advance", (jobs, elapsed, cancel), None)]
+    cls = classes or range(k)
+    signs = {job: tuple(sorted([(cls[s], elapsed[s]) for s in job])) for job in jobs}
+    signs["new"] = ()
+    least = {}
+    for partition in iter_partitions(len(assignable)):
+        groups = [tuple(sorted([assignable[i] for i in part])) for part in partition.groups]
+        group_signs = [tuple(sorted([cls[s] for s in group])) for group in groups]
+        for targets in itertools.product(signs, repeat=len(groups)):
+            joined = [t for t in targets if t != "new"]
+            if len(set(joined)) < len(joined):
+                continue
+            key = tuple(sorted(zip(group_signs, [signs[t] for t in targets])))
+            plan = tuple(sorted(zip(groups, targets)))
+            label = _plan_label(plan)
+            if key not in least or label < least[key][0]:
+                least[key] = (label, plan)
     out = []
-    for plan in _refill_plans(assignable, jobs):
+    for label, plan in sorted(least.values()):
         new_jobs = list(jobs)
-        new_elapsed = list(elapsed)
         for group, target in plan:
             if target == "new":
-                new_jobs.append(tuple(sorted(group)))
+                new_jobs.append(group)
             else:
-                i = new_jobs.index(target)
-                new_jobs[i] = tuple(sorted(target + tuple(group)))
-            for s in group:
-                new_elapsed[s] = 0.0
-        plan = tuple(sorted(plan))
-        out.append(
-            (_plan_label(plan), (tuple(sorted(new_jobs)), tuple(new_elapsed), cancel), plan)
-        )
-    return sorted(out)
-
-
-def _refill_plans(assignable, jobs):
-    plans = []
-    for parts in _set_partitions(list(assignable)):
-        def extend(i, used, acc):
-            if i == len(parts):
-                plans.append(tuple(acc))
-                return
-            extend(i + 1, used, acc + [(tuple(parts[i]), "new")])
-            for job in jobs:
-                if job in used:
-                    continue
-                extend(i + 1, used | {job}, acc + [(tuple(parts[i]), job)])
-
-        extend(0, frozenset(), [])
-    return plans
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
+                new_jobs[new_jobs.index(target)] = tuple(sorted(target + group))
+        out.append((label, (tuple(sorted(new_jobs)), elapsed, cancel), plan))
+    return out
 
 
 def _plan_label(plan):

@@ -601,12 +601,10 @@ class TestBoundAboveTheOptimum:
         assert abs(res.throughput - solution.throughput) <= 3 * res.throughput_stderr
 
     def test_six_servers(self):
-        # optima of build_mdp((LAW_B,) * 6, delta) as solved, too slow for this
-        # suite on a 2-CPU host: delta = 0 has 18,045 states, 5.0 s to build
-        # and 0.35 s to solve; delta = 1 has 19,139 states, 5.5 s to build
-        # and 1.5 s to solve (experiments/mdp_k6_delay.cfg)
-        assert homogeneous_bound(LAW_B, 0.0, 6).value >= 3.7638481044507763
-        assert homogeneous_bound(LAW_B, 1.0, 6).value >= 2.909216389026674
+        for delta, optimum in ((0.0, 3.7638481044507763), (1.0, 2.909216389026674)):
+            solution = solve_average_cost(build_mdp((LAW_B,) * 6, delta))
+            assert solution.throughput == optimum
+            assert solution.throughput <= homogeneous_bound(LAW_B, delta, 6).value
 
     def test_no_start_vector_on_a_half_grid_costs_less(self):
         rep = homogeneous_bound(LAW_A, 1.0, 3)

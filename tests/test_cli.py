@@ -115,6 +115,12 @@ class TestAnalyticCommand:
         assert code == 0
         assert rows[0]["params"].startswith("r*=10")
 
+    def test_best_r_of_mixed_servers_is_an_error_row(self, tmp_path):
+        # it answered r*=1 at the rate of two det(2) servers
+        code, rows, _ = run_cli(tmp_path, ["analytic"], EXAMPLE1.replace("norep; fullrep", "best-r"))
+        assert code == 0
+        assert (rows[0]["throughput"], rows[0]["error"]) == ("", "best-r needs identical servers")
+
     @pytest.mark.parametrize(
         "servers",
         ["det(0), det(2)", "finite([(0,1)]), det(2)", "det(2), finite([(0,1-$p),($p,$p)])"],
@@ -369,6 +375,14 @@ class TestMdpCommand:
         throughput = float(value.split("throughput=")[1].split(";")[0])
         assert throughput == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "servers", ["exp(1), exp(2)", "finite([(0,0.5),(2,0.5)]), finite([(0,0.5),(2,0.5)])"]
+    )
+    def test_laws_it_cannot_take_exit_two(self, tmp_path, capsys, servers):
+        code, rows, _ = run_cli(tmp_path, ["mdp"], f"servers = {servers}\n")
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error: decision process needs")
+
     def test_lattice_states_print_times(self, tmp_path):
         # the kernel counts ticks of 0.1; its state strings print times
         rows = _run_experiment(tmp_path, "mdp", "mdp_lattice.cfg")
@@ -408,6 +422,7 @@ SHIPPED_K = {
     "mdp_k5_delay.cfg": 5,
     "mdp_k5_identical.cfg": 5,
     "mdp_k6_delay.cfg": 6,
+    "mdp_k6_identical.cfg": 6,
     "mdp_lattice.cfg": 2,
     "pareto_vs_alpha.cfg": 2,
     "response_time.cfg": 2,

@@ -25,6 +25,7 @@ from repliq.mdp import (
     policy_rows,
     solve_average_cost,
     _flatten,
+    _plan_label,
     _rvi_per_step,
     _solve_with_departure_gaps,
     _verify_unichain,
@@ -91,6 +92,14 @@ class TestKernel:
     def test_rejects_continuous(self):
         with pytest.raises(ValueError):
             build_mdp((Exponential(1.0), Exponential(1.0)), 0.0)
+
+    def test_rejects_a_zero_atom(self):
+        # a copy that outlived the zero atom had elapsed 0, as a fresh copy
+        # has, so it was re-drawn for free: two such servers "solved" to
+        # 3.0000000007, above their bound of 2.0 and their replay of 2.0
+        law = FiniteSupport(((0.0, 0.5), (2.0, 0.5)))
+        with pytest.raises(ValueError, match=r"positive atoms, got finite\(\[\(0,0.5\)"):
+            build_mdp((law,) * 2, 0.0)
 
     def test_state_cap(self):
         with pytest.raises(StateExplosionError):
@@ -375,6 +384,87 @@ class TestPlans:
         assert as_tabular_policy(kernel, solution).table == tuple(table)
 
 
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in _set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+        yield [[first]] + sub
+
+
+def _refill_plans(assignable, jobs):
+    """Every refill plan, relabelled copies included: the enumeration the
+    kernel used before it kept one plan per canonical occupancy."""
+    plans = []
+    for parts in _set_partitions(list(assignable)):
+        def extend(i, used, acc):
+            if i == len(parts):
+                plans.append(tuple(acc))
+                return
+            extend(i + 1, used, acc + [(tuple(parts[i]), "new")])
+            for job in jobs:
+                if job in used:
+                    continue
+                extend(i + 1, used | {job}, acc + [(tuple(parts[i]), job)])
+
+        extend(0, frozenset(), [])
+    return plans
+
+
+def _occupancy(state, plan):
+    jobs, elapsed, cancel, _ = state
+    new_jobs = list(jobs)
+    new_elapsed = list(elapsed)
+    for group, target in plan:
+        if target == "new":
+            new_jobs.append(tuple(sorted(group)))
+        else:
+            new_jobs[new_jobs.index(target)] = tuple(sorted(target + tuple(group)))
+        for s in group:
+            new_elapsed[s] = 0.0
+    return tuple(sorted(new_jobs)), tuple(new_elapsed), cancel
+
+
+class TestDistinctMoves:
+    @pytest.mark.parametrize(
+        "ds, delta",
+        [
+            ((LAW_A,) * 3, 1.0),
+            ((LAW_B,) * 4, 0.0),
+            ((LAW_B,) * 4, 1.0),
+            ((LAW_A, Deterministic(2.0), LAW_A), 1.0),
+        ],
+        ids=["k3-d1", "k4-d0", "k4-d1", "ADA-d1"],
+    )
+    def test_one_action_per_canonical_occupancy(self, ds, delta):
+        # every plan's canonical occupancy appears once, carried by the
+        # least label among the plans that lead to it
+        kernel = build_mdp(ds, delta)
+        n_decisions = 0
+        for state, acts in zip(kernel.states, kernel.actions):
+            jobs, _, cancel, pending = state
+            busy = {s for job in jobs for s in job}
+            assignable = [s for s in range(kernel.k) if s not in busy and cancel[s] == 0.0]
+            if pending or not assignable:
+                continue
+            least = {}
+            for plan in _refill_plans(assignable, jobs):
+                plan = tuple(sorted(plan))
+                canon, _ = canonical_state(_occupancy(state, plan), kernel.classes)
+                least[canon] = min(least.get(canon, _plan_label(plan)), _plan_label(plan))
+            kept = [
+                (canonical_state(_occupancy(state, kernel.plans[label]), kernel.classes)[0], label)
+                for label, _ in acts
+            ]
+            assert len(dict(kept)) == len(kept)
+            assert dict(kept) == least
+            n_decisions += 1
+        assert n_decisions > 0
+
+
 def _lattice_law(rng, per_unit):
     """A law on steps of 1/per_unit: half the time a straggler (one to three
     steps mostly, eight to twelve at times), else one to three atoms among
@@ -422,20 +512,25 @@ PINNED = {
         choices=[1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     ),
     # identical servers: the kernel holds one canonical state per orbit
-    # (81 states before lumping); the solution pins are the unlumped kernel's;
-    # the exact gain is 1.3
+    # (81 states before lumping) and one action per canonical occupancy (108
+    # transitions with every relabelled plan); the solution pins are the
+    # unlumped kernel's; the exact gain is 1.3
     "three_two_atom": dict(
         ds=THREE_TWO_ATOM,
         delta=1.0,
         states=23,
-        transitions=108,
+        transitions=87,
         states_sha="533d6b8fc7039027c4a784055822e388bced5d4160db19d13c3259b8a78a8278",
-        actions_sha="f5a9195a29636325c07e836da555578ef771d3f05df7e3d4f7be536b210169a2",
+        actions_sha="e0376871ee66db63ab4a72f737886ca1fda4e106c69bf4cc986581c7646d56a6",
         method="bisection-rvi",
         iterations=183,
         throughput=2.3076923076732454,
         gain=1.3000000000107383,
-        choices=[4, 0, 1, 1] + [0] * 9 + [1, 0, 1] + [0] * 7,
+        choices=[2, 0, 1, 1] + [0] * 9 + [1, 0, 1] + [0] * 7,
+        # the moves chosen with every relabelled plan in the kernel
+        labels=["new[1]+new[2]+new[3]", "null", "new[2]+new[3]", "rep[3]->[1,2]", "null", "null"]
+        + ["new[3]", "new[3]", "null", "new[3]", "null", "new[3]", "new[3]", "new[2]+new[3]"]
+        + ["new[3]", "new[2]+new[3]", "new[3]", "null"] + ["new[3]"] * 5,
     ),
 }
 
@@ -471,12 +566,15 @@ class TestPinned:
         assert _sha(as_times) == "a4a02920d1ec26a318a4b37b2ad901afdd03f09ebfae7cd4e71e2e392cf3b554"
 
     def test_solution_bit_identical(self, pinned):
-        pin, _, solution = pinned
+        pin, kernel, solution = pinned
         assert solution.method == pin["method"]
         assert solution.iterations == pin["iterations"]
         assert solution.throughput == pin["throughput"]
         assert solution.gain == pin["gain"]
         assert solution.choices == pin["choices"]
+        if "labels" in pin:
+            chosen = [acts[c][0] for acts, c in zip(kernel.actions, solution.choices)]
+            assert chosen == pin["labels"]
 
     def test_diagnostics(self, pinned):
         pin, _, solution = pinned
