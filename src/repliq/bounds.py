@@ -14,8 +14,8 @@ Both are searched by _minimise over the candidates of _candidates.
 
 The exact cost of a start-time vector has one path for every law: each
 copy's overshoot is an integral of the joint tail of the finishing time
-(product_tail_integral: step sums for atomic laws, closed forms for
-exponential mixtures, quadrature otherwise), which is polynomial in K.
+(product_tail_integral: one exact segment sweep for atomic laws and
+exponential mixtures, quadrature for Pareto laws), which is polynomial in K.
 
 The Monte-Carlo cost reuses one set of common random draws for every
 start-time vector.  The draws are made path-major, (n_paths, K) from one
@@ -156,8 +156,8 @@ def homogeneous_cost(
     server whenever at least one replica launched, as the simulator and the
     decision process charge it.
 
-    estimator="exact": tail-product integrals for every law (step sums for
-    atomic laws, closed form for exponential mixtures, else quadrature).
+    estimator="exact": tail-product integrals for every law (an exact sweep
+    for atomic laws and exponential mixtures, quadrature for Pareto laws).
     estimator="monte-carlo": n_paths >= 2 common-random-number sample
     paths.  Returns (mean, stderr); stderr is 0 for the exact path.
     """

@@ -26,6 +26,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
+        out = args.out or cfg.out
+        if getattr(args, "gnuplot", "") and not out:
+            raise ConfigError("--gnuplot plots a CSV file: give --out or set out in the config")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -37,9 +40,9 @@ def main(argv=None) -> int:
     except RepliqError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    _write_csv(rows, fields, args.out or cfg.out or "")
+    _write_csv(rows, fields, out)
     if getattr(args, "gnuplot", ""):
-        _write_gnuplot(args.gnuplot, args.out or cfg.out or "results.csv", fields)
+        _write_gnuplot(args.gnuplot, out, fields)
     return 0
 
 
@@ -62,7 +65,8 @@ def _build_parser():
         p.add_argument("--jobs", type=_count, default=None)
         p.add_argument("--runs", type=_count, default=None)
         p.add_argument("--paths", type=_paths, default=None)
-        p.add_argument("--gnuplot", default="", help="also emit a gnuplot script")
+        if name != "mdp":  # the policy table has no y column to plot
+            p.add_argument("--gnuplot", default="", help="also emit a gnuplot script")
         if name == "simulate":
             p.add_argument(
                 "--trace",

@@ -4,18 +4,18 @@ Every throughput formula in the toolkit consumes the same handful of
 quantities: the mean, the tail P(X > x), the truncated mean E[min(X, t)],
 the residual law (X - t | X > t), and expectations of minima of independent
 service times.  This module provides them in closed form per variant.
-Integrals of products of tails are exact for atomic laws (a step function)
-and for exponential mixtures (exp, shiftexp, hyperexp and their residuals: a
-sum of exponentials between offsets); breakpoint-aware quadrature is kept
-for products with no closed form (Pareto, or any of those mixed with it).
+Integrals of products of tails are exact for atomic laws, exponential
+mixtures (exp, shiftexp, hyperexp and their residuals) and any mix of them:
+between atoms and offsets the product is a constant times a finite sum of
+exponentials, summed in one segment sweep.  Quadrature is kept for Pareto.
 
 scipy is imported in one place, where it runs: ``scipy.integrate.quad``
-inside ``product_tail_integral``'s quadrature fallback (Pareto laws, or any
-law mixed with one).  ``HyperExp.quantile`` finds its root with ``_brentq``,
+inside ``product_tail_integral``'s quadrature fallback (products with a
+Pareto law).  ``HyperExp.quantile`` finds its root with ``_brentq``,
 a port of ``scipy.optimize.brentq`` that returns the same bits, and the
 bounds refine their start times with ``_golden``, a golden-section search.
-Importing repliq loads numpy alone, and so do the closed forms, the
-simulator, the MDP and the bounds on atomic and exponential-mixture laws.
+Importing repliq loads numpy alone, and so do the closed forms, the simulator,
+the MDP and the bounds on any mix of atomic laws and exponential mixtures.
 
 Every law has a positive mean.  Conventions: tail(x) = P(X > x) and equals 1
 for any x below the support; ``float('inf')`` is an admissible threshold/age
@@ -157,8 +157,8 @@ class Exponential(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        if not 0 < self.rate < INF:
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
     def mean(self):
         return 1.0 / self.rate
@@ -197,8 +197,8 @@ class Shifted(ServiceDistribution):
     inner: ServiceDistribution
 
     def __post_init__(self):
-        if not self.shift >= 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        if not 0 <= self.shift < INF:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
     def mean(self):
         return self.shift + self.inner.mean()
@@ -252,8 +252,8 @@ class HyperExp(ServiceDistribution):
     p2: float
 
     def __post_init__(self):
-        if not (self.rate1 > 0 and self.rate2 > 0):
-            raise ValueError("hyperexponential rates must be > 0")
+        if not (0 < self.rate1 < INF and 0 < self.rate2 < INF):
+            raise ValueError("hyperexponential rates must be finite and > 0")
         if not 0.0 <= self.p2 <= 1.0:
             raise ValueError(f"p2 must be in [0, 1], got {self.p2}")
 
@@ -310,10 +310,10 @@ class Pareto(ServiceDistribution):
     alpha: float
 
     def __post_init__(self):
-        if not self.xm > 0:
-            raise ValueError(f"scale xm must be > 0, got {self.xm}")
-        if not self.alpha > 0:
-            raise ValueError(f"shape alpha must be > 0, got {self.alpha}")
+        if not 0 < self.xm < INF:
+            raise ValueError(f"scale xm must be finite and > 0, got {self.xm}")
+        if not 0 < self.alpha < INF:
+            raise ValueError(f"shape alpha must be finite and > 0, got {self.alpha}")
 
     def mean(self):
         if self.alpha <= 1.0:
@@ -361,14 +361,14 @@ class FiniteSupport(ServiceDistribution):
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple(sorted((float(v), float(p)) for v, p in self.atoms if p > 0))
+        atoms = tuple(sorted((float(v), float(p)) for v, p in self.atoms if p != 0))
         if not atoms:
             raise ValueError("finite-support law needs at least one atom")
         values = [v for v, _ in atoms]
         if len(set(values)) != len(values):
             raise ValueError(f"atom values must be distinct, got {values}")
-        if any(v < 0 for v in values):
-            raise ValueError(f"atom values must be >= 0, got {values}")
+        if any(not 0 <= v < INF for v in values):
+            raise ValueError(f"atom values must be finite and >= 0, got {values}")
         if any(not 0 < p <= 1 for _, p in atoms):
             raise ValueError("atom probabilities must be in (0, 1]")
         total = math.fsum(p for _, p in atoms)
@@ -602,9 +602,9 @@ def _time_of(ticks, step):
 def min_expectation(ds) -> float:
     """E[min over the given laws] = integral over [0, inf) of the product of tails.
 
-    Exact for purely atomic inputs and for inputs that are all exponential
-    mixtures (exp, shiftexp, hyperexp); adaptive quadrature (relative error
-    ~1e-9) otherwise.
+    Exact for any mix of atomic laws and exponential mixtures (exp,
+    shiftexp, hyperexp); adaptive quadrature (relative error ~1e-9) once a
+    Pareto law is among them.
     """
     ds = list(ds)
     if not ds:
@@ -618,17 +618,17 @@ def product_tail_integral(components, lower: float = 0.0) -> float:
 
     ``components`` is an iterable of (distribution, offset, power).  This is
     the workhorse behind minima expectations and expected overshoots
-    E[(min_k(X_k + o_k) - a)^+].
+    E[(min_k(X_k + o_k) - a)^+].  Exact for any mix of atomic and
+    exponential-mixture tails; quadrature once a Pareto law is among them.
     """
     comps = _normalize_components(components)
     upper = min(off + d._support_upper() for d, off, _ in comps)
     if upper <= lower:
         return 0.0
 
-    if all(d._atoms() is not None for d, _, _ in comps):
-        return _atomic_integral(comps, lower, upper)
-    if all(d._phases() is not None for d, _, _ in comps):
-        return _mixture_integral(comps, lower)
+    exact = _exact_integral(comps, lower, upper)
+    if exact is not None:
+        return exact
 
     from scipy.integrate import quad
 
@@ -689,38 +689,39 @@ def _normalize_components(components):
     return [(d, off, pw) for (d, off), pw in merged.items()]
 
 
-def _atomic_integral(comps, lower, upper):
-    # the product of tails is a right-continuous step function; sum the steps.
-    # A component's tail at x0 is the mass of its atoms placed above x0, with
-    # each atom placed at the point off + v itself: x0 - off may fall one ulp
-    # short of v (1.0 - 0.9 < 0.1).
-    sweeps = []
+def _exact_integral(comps, lower, upper):
+    # Between edges (lower, upper, atom points, mixture offsets) the product
+    # is a constant from the atomic tails times a sum of exponentials from the
+    # mixtures.  Atoms are placed at off + v itself (a - off may fall one ulp
+    # short of v: 1.0 - 0.9 < 0.1); phase weights are taken at the segment
+    # start, so no exp(rate * offset) is formed.  None if a component has
+    # neither atoms nor phases (Pareto): it has no closed form.
+    steps, mixes, edges = [], [], {lower, upper}
     for d, off, pw in comps:
         atoms = d._atoms()
-        tails = [math.fsum(p for _, p in atoms[i:]) for i in range(len(atoms) + 1)]
-        sweeps.append(([off + v for v, _ in atoms], tails, pw))
-    points = sorted({lower, upper} | {x for at, _, _ in sweeps for x in at if lower < x < upper})
+        if atoms is not None:
+            at = [off + v for v, _ in atoms]
+            tails = [math.fsum(p for _, p in atoms[i:]) for i in range(len(atoms) + 1)]
+            steps.append((at, tails, pw))
+            edges.update(at)
+        elif (phases := d._phases()) is not None:
+            mixes.append((phases, off, pw))
+            edges.add(off)
+        else:
+            return None
+    points = sorted([x for x in edges if lower <= x <= upper])
     total = 0.0
-    for x0, x1 in zip(points, points[1:]):
+    for a, b in zip(points, points[1:]):
         prod = 1.0
-        for at, tails, pw in sweeps:
-            prod *= tails[bisect.bisect_right(at, x0)] ** pw
-        total += (x1 - x0) * prod
-    return total
-
-
-def _mixture_integral(comps, lower):
-    # on each segment between offsets the product of exponential-mixture tails
-    # is a finite sum of exponentials; phase weights are taken at the segment
-    # start, so no factor exp(rate * offset) is ever formed
-    edges = sorted({lower} | {off for _, off, _ in comps if off > lower})
-    total = 0.0
-    for a, b in zip(edges, edges[1:] + [INF]):
-        terms = {0.0: 1.0}  # total rate -> coefficient
-        for d, off, pw in comps:
-            if off > a:
-                continue
-            phases = [(w * math.exp(-r * (a - off)), r) for w, r in d._phases()]
+        for at, tails, pw in steps:
+            prod *= tails[bisect.bisect_right(at, a)] ** pw
+        live = mixes and [m for m in mixes if m[1] <= a]
+        if not live:
+            total += (b - a) * prod
+            continue
+        terms = {0.0: prod}  # total rate -> coefficient
+        for phases, off, pw in live:
+            phases = [(w * math.exp(-r * (a - off)), r) for w, r in phases]
             for _ in range(pw):
                 grown = {}
                 for rate, coef in terms.items():
@@ -728,12 +729,7 @@ def _mixture_integral(comps, lower):
                         grown[rate + r] = grown.get(rate + r, 0.0) + coef * w
                 terms = grown
         for rate, coef in terms.items():
-            if rate > 0.0:
-                total += coef * (1.0 if b == INF else -math.expm1(-rate * (b - a))) / rate
-            elif b < INF:
-                total += coef * (b - a)
-            else:
-                raise InfiniteMeanError("constant tail with unbounded support")
+            total += coef * (1.0 if b == INF else -math.expm1(-rate * (b - a))) / rate
     return total
 
 

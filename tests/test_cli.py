@@ -409,6 +409,7 @@ def _run_experiment(tmp_path, command, name):
 SHIPPED_K = {
     "bound_atomic_k7.cfg": 7,
     "bound_exponential_pair.cfg": 2,
+    "bound_mixed_pair.cfg": 2,
     "bound_hyperexp_k3.cfg": 3,
     "bound_hyperexp_k6_mc.cfg": 6,
     "bound_p_sweep.cfg": 2,
@@ -530,3 +531,68 @@ class TestShippedExperiments:
         )
         assert code == 0
         assert "plot" in plot.read_text()
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [("analytic", "example1_analytic.cfg"), ("bound", "bound_mixed_pair.cfg")],
+    )
+    def test_gnuplot_plots_columns_of_the_csv(self, tmp_path, command, name):
+        cfg = pathlib.Path(__file__).parent.parent / "experiments" / name
+        out, plot = tmp_path / "out.csv", tmp_path / "plot.gp"
+        code = main([command, "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
+        assert code == 0
+        header = out.read_text().splitlines()[1].split(",")
+        (line,) = [l for l in plot.read_text().splitlines() if l.startswith("plot")]
+        assert line.startswith(f"plot '{out}' using ")
+        x, y = line.split(" using ")[1].split(" with ")[0].split(":")
+        assert x.strip("'") in header and y.strip("'") in header
+
+    def test_gnuplot_is_not_offered_on_the_policy_table(self, tmp_path, capsys):
+        # the mdp CSV has no y column to plot
+        cfg = pathlib.Path(__file__).parent.parent / "experiments" / "mdp_example1.cfg"
+        out, plot = tmp_path / "m.csv", tmp_path / "m.gp"
+        with pytest.raises(SystemExit) as exc:
+            main(["mdp", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+        assert not plot.exists() and not out.exists()
+
+    def test_gnuplot_without_a_csv_file_exits_two(self, tmp_path, capsys):
+        # with the CSV on stdout there is no file for the script to plot
+        cfg = pathlib.Path(__file__).parent.parent / "experiments" / "example1_analytic.cfg"
+        plot = tmp_path / "a.gp"
+        code = main(["analytic", "--config", str(cfg), "--gnuplot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert not plot.exists()
+
+
+class TestNonFiniteLawParameters:
+    @pytest.mark.parametrize(
+        "command,servers",
+        [
+            ("analytic", "exp(inf), det(1)"),
+            ("simulate", "exp(inf), det(1)"),
+            ("simulate", "finite([(1,0.5),(inf,0.5)]), det(1)"),
+            ("bound", "finite([(1,0.5),(inf,0.5)]), det(1)"),
+            ("simulate", "pareto(inf,2), det(1)"),
+            ("bound", "pareto(inf,2), det(1)"),
+            ("simulate", "shiftexp(inf,1), det(1)"),
+            ("bound", "shiftexp(inf,1), det(1)"),
+            ("analytic", "finite([(inf-inf,1)]), det(1)"),
+            ("analytic", "pareto(1,inf), det(1)"),
+            ("analytic", "hyperexp(1,inf,0.5), det(1)"),
+            ("analytic", "finite([(1,inf-inf),(2,1)]), det(1)"),
+        ],
+    )
+    def test_exits_two(self, tmp_path, capsys, command, servers):
+        text = f"servers = {servers}\ndelta = 0\npolicies = norep; maxrate\njobs = 200\n"
+        code, rows, _ = run_cli(tmp_path, [command], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_infinite_thresholds_are_still_accepted(self, tmp_path):
+        text = EXAMPLE1.replace("norep; fullrep", "adarep:{1->2:inf}") + "jobs = 200\n"
+        code, rows, _ = run_cli(tmp_path, ["simulate"], text)
+        assert code == 0 and len(rows) == 1

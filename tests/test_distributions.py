@@ -342,6 +342,64 @@ class TestMixtureClosedForm:
         assert min_expectation([HyperExp(r1, r2, p)] * 2) == pytest.approx(expected, rel=1e-14)
 
 
+def _random_mixed_case(rng):
+    """Atomic components (decimal-lattice or free atoms, some shifted) beside
+    the exponential mixtures of ``_random_mixture_case``, in drawn order, with
+    offsets, powers 1-3 and a lower limit, all drawn from ``rng``."""
+    comps, _ = _random_mixture_case(rng)
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            step = rng.choice([0.1, 0.25, 1.0])
+            values = [v * step for v in rng.sample(range(1, 30), n)]
+        else:
+            values = [rng.uniform(0.05, 8.0) for _ in range(n)]
+        weights = [rng.random() + 0.1 for _ in values]
+        atoms = [(v, w / sum(weights)) for v, w in zip(values, weights)]
+        d = FiniteSupport(tuple(atoms)) if n > 1 else Deterministic(values[0])
+        if rng.random() < 0.3:
+            d = Shifted(rng.uniform(0.0, 2.0), d)
+        comps.append((d, rng.choice([0.0, rng.uniform(0.0, 3.0)]), rng.randint(1, 3)))
+    rng.shuffle(comps)
+    return comps, rng.choice([0.0, rng.uniform(0.0, 4.0)])
+
+
+class TestMixedClosedForm:
+    def test_matches_quadrature_oracle(self):
+        # atomic laws beside exponential mixtures take the exact sweep;
+        # Residual(d, 0) has the same tail as d but takes the quadrature path,
+        # whose absolute tolerance (1e-13) leaves tiny values out
+        rng = random.Random(5150)
+        checked = 0
+        for _ in range(150):
+            comps, lower = _random_mixed_case(rng)
+            exact = product_tail_integral(comps, lower=lower)
+            oracle = product_tail_integral(
+                [(Residual(d, 0.0), off, pw) for d, off, pw in comps], lower=lower
+            )
+            if oracle > 1e-6:
+                assert exact == pytest.approx(oracle, rel=1e-12), (comps, lower)
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("c,r", [(2.0, 1.0), (0.5, 3.0), (7.0, 0.25), (1.3, 0.6)])
+    def test_deterministic_beside_exponential(self, c, r):
+        expected = -math.expm1(-r * c) / r  # E[min(c, X)] for X ~ exp(r)
+        assert min_expectation([Deterministic(c), Exponential(r)]) == pytest.approx(
+            expected, rel=1e-15
+        )
+
+    def test_finite_beside_hyperexp(self):
+        # E[min(X, Y)] = sum over atoms v of P(X = v) E[min(v, Y)], and
+        # E[min(v, Y)] = sum over phases of w (1 - e^{-r v}) / r
+        atoms, r1, r2, q = EXAMPLE_PAIR_ATOMS, 0.6, 0.2, 0.4
+        expected = math.fsum(
+            p * w * -math.expm1(-r * v) / r for v, p in atoms for w, r in ((1 - q, r1), (q, r2))
+        )
+        value = min_expectation([FiniteSupport(atoms), HyperExp(r1, r2, q)])
+        assert value == pytest.approx(expected, rel=1e-15)
+
+
 class TestSampling:
     def test_deterministic_any_seed(self):
         rng = np.random.default_rng(99)
@@ -511,6 +569,25 @@ class TestValidation:
         zero_atom = FiniteSupport(((0.0, 0.6), (1.0, 0.4)))
         assert zero_atom.mean() == 0.4
         assert zero_atom.truncated_mean(0.5) == 0.2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: Exponential(x),
+            lambda x: Shifted(x, Exponential(1.0)),
+            lambda x: HyperExp(x, 1.0, 0.5),
+            lambda x: HyperExp(1.0, x, 0.5),
+            lambda x: Pareto(x, 2.0),
+            lambda x: Pareto(1.0, x),
+            lambda x: FiniteSupport(((1.0, 0.5), (x, 0.5))),
+            lambda x: FiniteSupport(((1.0, x), (2.0, 1.0))),
+        ],
+        ids=["exp", "shift", "hyperexp1", "hyperexp2", "xm", "alpha", "atom", "prob"],
+    )
+    @pytest.mark.parametrize("bad", [INF, float("nan")])
+    def test_parameters_must_be_finite(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)
 
 
 class TestParsing:
