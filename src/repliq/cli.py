@@ -27,8 +27,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         out = args.out or cfg.out
-        if getattr(args, "gnuplot", "") and not out:
-            raise ConfigError("--gnuplot plots a CSV file: give --out or set out in the config")
+        axes = None
+        if getattr(args, "gnuplot", ""):
+            if not out:
+                raise ConfigError("--gnuplot plots a CSV file: give --out or set out in the config")
+            axes = _plot_axes(args.command, cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -41,8 +44,9 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     _write_csv(rows, fields, out)
-    if getattr(args, "gnuplot", ""):
-        _write_gnuplot(args.gnuplot, out, fields)
+    if axes:
+        lines = _lines(rows, axes[0], cfg) if args.command == "simulate" else None
+        _write_gnuplot(args.gnuplot, out, *axes, lines)
     return 0
 
 
@@ -321,16 +325,58 @@ def _write_csv(rows, fields, out_path):
         sys.stdout.write(text)
 
 
-def _write_gnuplot(path, csv_path, fields):
-    y = "throughput" if "throughput" in fields else "bound"
-    x = fields[2] if len(fields) > 2 else "policy"
+def _plot_axes(command, cfg):
+    """(x, y) columns of the --gnuplot script.  x is the sweep column, else
+    lambda in poisson mode; an analytic or bound table with no sweep is
+    plotted against its row labels, and a saturated simulate table with no
+    sweep has no numeric x, so it is refused."""
+    if command == "simulate":
+        poisson = cfg.mode == "poisson"
+        if not (cfg.sweep_name or poisson):
+            raise ConfigError("--gnuplot needs a numeric x: a sweep, or poisson mode's lambdas")
+        return cfg.sweep_name or "lambda", "mean_response" if poisson else "throughput"
+    if command == "bound":
+        return cfg.sweep_name or "kind", "bound"
+    return cfg.sweep_name or "policy", "throughput"
+
+
+def _write_gnuplot(path, csv_path, x, y, lines=None):
+    """A gnuplot script of y against x in the CSV: one line through every
+    row, or one per (title, first row, row stride, last row) of lines."""
+    plots = [f"'{csv_path}' using '{x}':'{y}' with linespoints title '{y}'"]
+    if lines is not None:
+        plots = [
+            f"'{csv_path}' every {stride}::{first}::{last} using '{x}':'{y}'"
+            f" with linespoints title '{title}'"
+            for title, first, stride, last in lines
+        ]
     script = (
         "set datafile separator ','\n"
         f"set xlabel '{x}'\nset ylabel '{y}'\nset key outside\n"
-        f"plot '{csv_path}' using '{x}':'{y}' with linespoints title '{y}'\n"
+        "plot " + ", \\\n     ".join(plots) + "\n"
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(script)
+
+
+def _lines(rows, x, cfg):
+    """One plot line per policy of a simulate table, and per lambda under a
+    sweep: (title, first row, row stride, last row).  cmd_simulate writes
+    each sweep point's rows together, policy by policy, lambda by lambda."""
+    if x == "lambda":  # no sweep: a policy's rows follow each other
+        size = len(cfg.lambdas)
+        spans = [(first, 1, first + size - 1) for first in range(0, len(rows), size)]
+    else:
+        size = len(rows) // len(cfg.sweep_values)
+        spans = [(first, size, len(rows) - size + first) for first in range(size)]
+    out = []
+    for first, stride, last in spans:
+        row = rows[first]
+        title = f"{row['policy']}:{row['params']}" if row["params"] else row["policy"]
+        if x != "lambda" and cfg.mode == "poisson":
+            title += f" lambda={row['lambda']}"
+        out.append((title, first, stride, last))
+    return out
 
 
 if __name__ == "__main__":

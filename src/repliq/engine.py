@@ -14,9 +14,18 @@ all its servers, which frees them in the order the copies started.  The
 ARRIVE events of a Poisson run each push the next arrival.  The DEPART
 events of the cancelled copies stay in the heap: popping one does nothing,
 but it still ends a timestamp, so idle servers are offered again at the
-time a cancelled copy would have ended.  No server is offered while none
-is idle, so a timestamp that leaves every server busy or cancelling costs
-no scan.
+time a cancelled copy would have ended, when a policy that reads elapsed
+times may act.  No server is offered while none is idle, so a timestamp
+that leaves every server busy or cancelling costs no scan.
+
+A policy whose ``reads_jobs`` is False (NoRep, FullRep, UpfrontRep) sees
+no job views and no cancelling servers, so its observation changes only
+at real events, and a re-offer at a cancelled copy's end would get the
+same wait as the last scan.  For such a policy the engine builds no views
+and pushes one DEPART per launch: the earliest end of the copies started
+together, the first started winning ties, so the finisher and the order
+of real departures are those of one push per copy.  Every copy's service
+time is still drawn.
 
 A saturated run whose laws are atomic on a lattice of step g
 (distributions._lattice_step) that is no binary fraction, such as 0.1,
@@ -149,6 +158,7 @@ class _Sim:
         self.k = config.k
         self.delta = config.delta
         self.policy = policy
+        self.reads_jobs = policy.reads_jobs
         self.trace = trace
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(self.k + 1)]
         self.draws = [_blocks(partial(d.sample_array, rng)) for d, rng in zip(self.dists, rngs)]
@@ -165,7 +175,8 @@ class _Sim:
         self.seq = 0
         self.jobs = {}
         # (idle servers, job views, cancelling) shared by the offers of one
-        # scan; only launches change them within a scan
+        # scan; only launches change them within a scan.  Views and
+        # cancelling stay empty for a policy that does not read them.
         self.snapshot = None
         self.dep_times = []
         self.dep_cost = []
@@ -174,10 +185,13 @@ class _Sim:
         self.q_mid = 0
         self.q_end = 0
         self.served_at_horizon = 0
+        self.snap = None
         if self.arrivals is None:  # snap to a non-binary lattice; see the module docstring
             step = _lattice_step(self.dists, self.delta)
             if step is not None and float(step) != step:
-                self._push = partial(self._push_on_lattice, float(step), step)
+                g = float(step)
+                self._push = partial(self._push_on_lattice, g, step)
+                self.snap = lambda time: _time_of(_ticks(time, g), step)
 
     # -- event plumbing ------------------------------------------------------
 
@@ -197,7 +211,7 @@ class _Sim:
         # __new__, which costs more than the tuple itself on this path
         if self.snapshot is None:
             views = []
-            for job in self.jobs.values():
+            for job in self.jobs.values() if self.reads_jobs else ():
                 starts = job.starts
                 if len(starts) == 1:
                     elapsed = (now - starts[0],)
@@ -209,7 +223,7 @@ class _Sim:
             status = self.status
             idle = tuple([i for i in range(self.k) if status[i] == _IDLE])
             cancelling = ()
-            if self.delta > 0:
+            if self.delta > 0 and self.reads_jobs:
                 cancelling = tuple(
                     [(i, self.cancel_until[i] - now) for i in range(self.k) if status[i] == _CANCEL]
                 )
@@ -276,9 +290,13 @@ class _Sim:
         self._launch(job, servers, now)
 
     def _launch(self, job, servers, now):
-        """Start a copy of job on each of servers, in order."""
+        """Start a copy of job on each of servers, in order.  Each copy's
+        end is pushed as a DEPART, or only the earliest one when the policy
+        reads no job views (see the module docstring)."""
         status = self.status
         saturated = self.arrivals is None
+        each = self.reads_jobs
+        first = None  # (end, server) of the earliest copy when not each
         for s in servers:
             if status[s] != _IDLE:
                 raise PolicyError(f"server {s} is not idle")
@@ -290,9 +308,18 @@ class _Sim:
             self.n_idle -= 1
             job.servers += (s,)
             job.starts.append(now)
-            self._push(now + next(self.draws[s]), _DEPART, job, s)
+            if each:
+                self._push(now + next(self.draws[s]), _DEPART, job, s)
+            else:
+                end = now + next(self.draws[s])
+                if self.snap is not None:
+                    end = self.snap(end)
+                if first is None or end < first[0]:
+                    first = (end, s)
             if self.trace is not None:
                 self.trace.append((now, "start", job.id, s, len(job.servers)))
+        if first is not None:
+            _Sim._push(self, first[0], _DEPART, job, first[1])
         self.snapshot = None
 
     # -- events ---------------------------------------------------------------

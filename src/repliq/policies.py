@@ -3,7 +3,9 @@
 A policy is asked for a decision whenever a server is assignable and
 either a queued job or a replication candidate exists.  The observation
 carries the offered server, the set of currently assignable servers, a
-view of every in-flight job, and whether a new job is available.
+view of every in-flight job, and whether a new job is available; a
+policy that declares ``reads_jobs = False`` (NoRep, FullRep, UpfrontRep)
+gets no job views and no cancelling servers.
 
 Every policy answers in one shape: wait, or a plan of (server group,
 target) pairs that refills assignable servers.  Target "new" starts the
@@ -37,6 +39,8 @@ class JobView(NamedTuple):
 
 
 class Observation(NamedTuple):
+    """An offer; jobs and cancelling are () when reads_jobs is False."""
+
     server: int
     idle_servers: tuple
     jobs: tuple
@@ -63,7 +67,18 @@ WAIT = Decision("wait")
 
 
 class Policy:
+    """Base of every decision rule.
+
+    reads_jobs: whether decide() reads the time-dependent part of the
+    observation, the job views and the cancelling servers.  A subclass
+    sets it False only if its answer depends on nothing else than the
+    offered server, the idle servers, can_new, the laws and the delay;
+    the simulator then passes both empty and skips re-offers that could
+    only get the same wait.
+    """
+
     name = "policy"
+    reads_jobs = True
 
     def params_str(self) -> str:
         return ""
@@ -80,6 +95,7 @@ class NoRep(Policy):
     """Every job runs on exactly one server: the first one offered."""
 
     name = "norep"
+    reads_jobs = False
 
     def decide(self, obs):
         if obs.can_new:
@@ -91,10 +107,12 @@ class FullRep(Policy):
     """Each job is replicated on all servers; acts only when all are idle."""
 
     name = "fullrep"
+    reads_jobs = False
 
     def decide(self, obs):
+        # every in-flight job holds a busy server, so all idle means no jobs
         k = len(obs.dists)
-        if obs.can_new and len(obs.idle_servers) == k and not obs.jobs:
+        if obs.can_new and len(obs.idle_servers) == k:
             return Decision("plan", ((tuple(range(k)), "new"),))
         return WAIT
 
@@ -105,6 +123,7 @@ class UpfrontRep(Policy):
 
     partition: Partition
     name = "upfront"
+    reads_jobs = False
 
     def params_str(self):
         return str(self.partition)

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -555,6 +556,70 @@ class TestShippedExperiments:
             main(["mdp", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+        assert not plot.exists() and not out.exists()
+
+    @staticmethod
+    def _plotted(script, csv_text):
+        """(x, y, title, rows) of each plot element: the CSV rows its every
+        clause selects, as dicts."""
+        data = list(csv.DictReader(io.StringIO(csv_text.split("\n", 1)[1])))
+        body = script.split("\nplot ", 1)[1].replace(", \\\n", "\n")
+        out = []
+        for element in body.split("\n"):
+            if not element.strip():
+                continue
+            m = re.match(
+                r"\s*'[^']+' every (\d+)::(\d+)::(\d+) using '(\w+)':'(\w+)'"
+                r" with linespoints title '(.*)'$",
+                element,
+            )
+            assert m, element
+            stride, first, last = map(int, m.group(1, 2, 3))
+            out.append((m[4], m[5], m[6], data[first : last + 1 : stride]))
+        return out
+
+    def test_gnuplot_plots_poisson_response_against_lambda_per_policy(self, tmp_path):
+        text = "\n".join(
+            [
+                "servers = det(2), finite([(1,0.9),(20,0.1)])",
+                "policies = norep; fullrep; adarep:{1->2:inf, 2->1:1}",
+                "mode = poisson",
+                "lambdas = 0.1, 0.3, 0.5",
+                "jobs = 50",
+                "runs = 2",
+            ]
+        )
+        cfg, out, plot = tmp_path / "p.cfg", tmp_path / "p.csv", tmp_path / "p.gp"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)]) == 0
+        lines = self._plotted(plot.read_text(), out.read_text())
+        titles = [title for _, _, title, _ in lines]
+        assert titles == ["norep", "fullrep", "adarep:{1->2:inf,2->1:1}"]
+        for x, y, title, rows in lines:
+            assert (x, y) == ("lambda", "mean_response")
+            assert [r["lambda"] for r in rows] == ["0.1", "0.3", "0.5"]
+            assert {r["policy"] for r in rows} == {title.split(":")[0]}
+
+    def test_gnuplot_plots_a_simulated_sweep_per_policy(self, tmp_path):
+        cfg = pathlib.Path(__file__).parent.parent / "experiments" / "maxrate_p_sweep.cfg"
+        out, plot = tmp_path / "s.csv", tmp_path / "s.gp"
+        args = ["--config", str(cfg), "--jobs", "100", "--out", str(out), "--gnuplot", str(plot)]
+        assert main(["simulate", *args]) == 0
+        lines = self._plotted(plot.read_text(), out.read_text())
+        assert [title for _, _, title, _ in lines] == ["norep", "fullrep", "maxrate"]
+        for x, y, title, rows in lines:
+            assert (x, y) == ("p", "throughput")
+            assert [float(r["p"]) for r in rows] == pytest.approx([0.05 * i for i in range(1, 11)])
+            assert {r["policy"] for r in rows} == {title}
+
+    def test_gnuplot_without_a_numeric_x_exits_two(self, tmp_path, capsys):
+        # a saturated table with no sweep has one row per policy and nothing to plot against
+        cfg = pathlib.Path(__file__).parent.parent / "experiments" / "example1_simulate.cfg"
+        out, plot = tmp_path / "s.csv", tmp_path / "s.gp"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("config error:")
+        assert "numeric x" in captured.err
         assert not plot.exists() and not out.exists()
 
     def test_gnuplot_without_a_csv_file_exits_two(self, tmp_path, capsys):

@@ -280,6 +280,37 @@ class TestObservations:
             assert all(type(o.cancelling) is tuple for o in policy.seen)
 
 
+class TestDepartureEvents:
+    """Policies that read no job views get one DEPART per job; the others
+    keep one per copy.  _Sim.seq counts every push."""
+
+    CONFIG = SystemConfig((HyperExp(0.6, 0.2, 0.4),) * 6, 0.1)  # homog_k6's laws
+
+    def _run(self, policy, n_jobs=2000):
+        trace = []
+        sim = engine._Sim(self.CONFIG, policy, 13, trace=trace)
+        sim.run(n_jobs)
+        copies = sum(1 for row in trace if row[1] == "start")
+        cancel_ends = sum(1 for row in trace if row[1] == "depart" and row[4] >= 2)
+        return sim, copies, cancel_ends
+
+    def test_fullrep_pushes_one_departure_per_job(self):
+        sim, copies, cancel_ends = self._run(FullRep())
+        assert copies == 6 * sim.started
+        assert sim.seq == sim.started + cancel_ends <= 2 * sim.started
+
+    def test_upfront_pushes_one_departure_per_job(self):
+        groups = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})))
+        sim, copies, cancel_ends = self._run(UpfrontRep(groups))
+        assert copies == 3 * sim.started
+        assert sim.seq == sim.started + cancel_ends <= 2 * sim.started
+
+    def test_adarep_pushes_one_departure_per_copy(self):
+        sim, copies, cancel_ends = self._run(AdaRep(homogeneous=(0.5, 1, 1.5, 2, 3)))
+        assert copies > sim.started and cancel_ends > 0
+        assert sim.seq == copies + cancel_ends
+
+
 class TestRandomStreams:
     def test_server_streams_follow_spawned_seed_sequence(self):
         config = SystemConfig(

@@ -11,7 +11,9 @@ and names every changed file and value in CHANGES.md.
 The event traces under ``golden/traces/`` pin the simulator's event order
 itself (starts, departures, cancellation-window ends, arrivals) on the
 cases where replicated copies are cancelled: six servers with a
-cancellation delay, the 0.1 lattice, and Poisson arrivals with δ = 1.
+cancellation delay, the 0.1 lattice, Poisson arrivals with δ = 1, and
+Poisson upfront groups, whose idle servers used to be offered again at
+the ends of cancelled copies.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites them."""
 
 import pathlib
@@ -68,6 +70,11 @@ def _trace_cases():
     example = tuple(map(parse_distribution, ("det(2)", "finite([(1,0.9),(20,0.1)])")))
     adarep = parse_policy("adarep:{1->2:inf, 2->1:1}")
     cases["example_poisson_adarep"] = (SystemConfig(example, 1.0), adarep, 0.5, 600.0, 5)
+    # idle servers are offered again when a cancelled copy would have ended:
+    # the events a policy that reads no job views makes the engine drop
+    upfront = parse_policy("upfront:[[1,2],[3]]")
+    example3 = example + example[1:]
+    cases["example_poisson_upfront"] = (SystemConfig(example3, 0.0), upfront, 0.5, 400.0, 5)
     return cases
 
 

@@ -12,7 +12,7 @@ from repliq.distributions import (
     HyperExp,
     _lattice_step,
 )
-from repliq.engine import SystemConfig, run_saturated
+from repliq.engine import SystemConfig, event_trace, run_saturated
 from repliq.errors import PolicyError
 from repliq.mdp import as_tabular_policy, build_mdp, solve_average_cost
 from repliq.policies import (
@@ -386,6 +386,52 @@ class _Recorder(Policy):
         dec = self.inner.decide(obs)
         self.seen.append((obs, dec))
         return dec
+
+
+THREE = EXAMPLE_DISTS + EXAMPLE_DISTS[1:]  # a two-copy job leaves one server idle
+UPFRONT = UpfrontRep(Partition((frozenset({0, 1}), frozenset({2}))))
+
+
+def _full_view_observations():
+    """Every observation the engine offers through a full-view wrapper, in
+    saturated and Poisson runs with a delay, under policies that leave
+    jobs in flight while a server is idle."""
+    seen = []
+    for inner in (NoRep(), UPFRONT, MaxRate(), AdaRep(homogeneous=(1.0, 3.0))):
+        for lam, delta in ((0.0, 0.5), (0.5, 1.0)):
+            recorder = _Recorder(inner)
+            event_trace(SystemConfig(THREE, delta), recorder, 300.0, seed=4, lam=lam)
+            seen += [o for o, _ in recorder.seen]
+    return seen
+
+
+class TestReadsJobs:
+    OBSERVATIONS = _full_view_observations()
+
+    def test_observations_cover_jobs_and_cancelling(self):
+        assert any(o.jobs for o in self.OBSERVATIONS)
+        assert any(o.cancelling for o in self.OBSERVATIONS)
+        assert any(not o.can_new for o in self.OBSERVATIONS)
+
+    @pytest.mark.parametrize("policy", [NoRep(), FullRep(), UPFRONT], ids=lambda p: p.name)
+    def test_decision_ignores_jobs_and_cancelling(self, policy):
+        assert policy.reads_jobs is False
+        for o in self.OBSERVATIONS:
+            assert policy.decide(o) == policy.decide(o._replace(jobs=(), cancelling=()))
+
+    def test_time_dependent_policies_read_jobs(self):
+        table = TabularPolicy(())
+        for policy in (MaxRate(), AdaRep(homogeneous=(1.0,)), table, _Recorder(NoRep())):
+            assert policy.reads_jobs is True
+
+    def test_engine_offers_no_jobs_when_every_server_is_idle(self):
+        # FullRep acts on "all idle" alone: every in-flight job holds a busy server
+        all_idle = [o for o in self.OBSERVATIONS if len(o.idle_servers) == len(o.dists)]
+        assert all_idle
+        assert not any(o.jobs for o in all_idle)
+        for o in self.OBSERVATIONS:
+            busy = {s for jv in o.jobs for s in jv.servers}
+            assert not busy & set(o.idle_servers)
 
 
 def _lattice_cfg_dists():
