@@ -37,6 +37,7 @@ def main(argv=None) -> int:
         return 2
     try:
         rows, fields = args.handler(cfg, args)
+        lines = _lines(rows, axes[0], args.command, cfg) if axes else None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -45,7 +46,6 @@ def main(argv=None) -> int:
         return 3
     _write_csv(rows, fields, out)
     if axes:
-        lines = _lines(rows, axes[0], cfg) if args.command == "simulate" else None
         _write_gnuplot(args.gnuplot, out, *axes, lines)
     return 0
 
@@ -116,6 +116,9 @@ def _base_row(cfg, point):
     return row
 
 
+_ANALYTIC_DEFAULT = ["norep", "fullrep"]  # the policies of an analytic config that lists none
+
+
 def cmd_analytic(cfg: ExperimentConfig, args):
     fields = ["config", "version"]
     if cfg.sweep_name:
@@ -124,7 +127,7 @@ def cmd_analytic(cfg: ExperimentConfig, args):
     rows = []
     for point in cfg.sweep_points():
         system = cfg.materialize_system(point)
-        specs = cfg.policy_specs(point) or ["norep", "fullrep"]
+        specs = cfg.policy_specs(point) or _ANALYTIC_DEFAULT
         for spec in specs:
             row = _base_row(cfg, point)
             try:
@@ -327,29 +330,23 @@ def _write_csv(rows, fields, out_path):
 
 def _plot_axes(command, cfg):
     """(x, y) columns of the --gnuplot script.  x is the sweep column, else
-    lambda in poisson mode; an analytic or bound table with no sweep is
-    plotted against its row labels, and a saturated simulate table with no
-    sweep has no numeric x, so it is refused."""
-    if command == "simulate":
-        poisson = cfg.mode == "poisson"
-        if not (cfg.sweep_name or poisson):
-            raise ConfigError("--gnuplot needs a numeric x: a sweep, or poisson mode's lambdas")
-        return cfg.sweep_name or "lambda", "mean_response" if poisson else "throughput"
-    if command == "bound":
-        return cfg.sweep_name or "kind", "bound"
-    return cfg.sweep_name or "policy", "throughput"
+    lambda in poisson mode; a table with neither has no numeric x, so it
+    is refused."""
+    poisson = command == "simulate" and cfg.mode == "poisson"
+    if not (cfg.sweep_name or poisson):
+        raise ConfigError("--gnuplot needs a numeric x: a sweep, or poisson mode's lambdas")
+    y = {"simulate": "mean_response" if poisson else "throughput", "bound": "bound"}
+    return cfg.sweep_name or "lambda", y.get(command, "throughput")
 
 
-def _write_gnuplot(path, csv_path, x, y, lines=None):
-    """A gnuplot script of y against x in the CSV: one line through every
-    row, or one per (title, first row, row stride, last row) of lines."""
-    plots = [f"'{csv_path}' using '{x}':'{y}' with linespoints title '{y}'"]
-    if lines is not None:
-        plots = [
-            f"'{csv_path}' every {stride}::{first}::{last} using '{x}':'{y}'"
-            f" with linespoints title '{title}'"
-            for title, first, stride, last in lines
-        ]
+def _write_gnuplot(path, csv_path, x, y, lines):
+    """A gnuplot script of y against x in the CSV, one line per (title,
+    first row, row stride, last row) of lines."""
+    plots = [
+        f"'{csv_path}' every {stride}::{first}::{last} using '{x}':'{y}'"
+        f" with linespoints title '{title}'"
+        for title, first, stride, last in lines
+    ]
     script = (
         "set datafile separator ','\n"
         f"set xlabel '{x}'\nset ylabel '{y}'\nset key outside\n"
@@ -359,11 +356,13 @@ def _write_gnuplot(path, csv_path, x, y, lines=None):
         fh.write(script)
 
 
-def _lines(rows, x, cfg):
-    """One plot line per policy of a simulate table, and per lambda under a
-    sweep: (title, first row, row stride, last row).  cmd_simulate writes
-    each sweep point's rows together, policy by policy, lambda by lambda."""
-    if x == "lambda":  # no sweep: a policy's rows follow each other
+def _lines(rows, x, command, cfg):
+    """One plot line per series of a table: (title, first row, row stride,
+    last row).  A series is a policy (analytic, simulate, and per lambda
+    under a poisson sweep) or a bound kind.  The commands write each sweep
+    point's rows together, series by series; a poisson table with no sweep
+    writes each policy's lambdas together."""
+    if x == "lambda":
         size = len(cfg.lambdas)
         spans = [(first, 1, first + size - 1) for first in range(0, len(rows), size)]
     else:
@@ -372,9 +371,19 @@ def _lines(rows, x, cfg):
     out = []
     for first, stride, last in spans:
         row = rows[first]
-        title = f"{row['policy']}:{row['params']}" if row["params"] else row["policy"]
-        if x != "lambda" and cfg.mode == "poisson":
-            title += f" lambda={row['lambda']}"
+        if command == "analytic":  # the row's policy column names the best partition found
+            title = (cfg.policies_raw or _ANALYTIC_DEFAULT)[first]
+        elif command == "bound":
+            title = row["kind"]
+            # the kinds that apply can change along the sweep
+            if size * len(cfg.sweep_values) != len(rows) or any(
+                r["kind"] != title for r in rows[first : last + 1 : stride]
+            ):
+                raise ConfigError("--gnuplot needs the same bound kinds at every sweep point")
+        else:
+            title = f"{row['policy']}:{row['params']}" if row["params"] else row["policy"]
+            if x != "lambda" and cfg.mode == "poisson":
+                title += f" lambda={row['lambda']}"
         out.append((title, first, stride, last))
     return out
 

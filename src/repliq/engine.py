@@ -25,7 +25,10 @@ same wait as the last scan.  For such a policy the engine builds no views
 and pushes one DEPART per launch: the earliest end of the copies started
 together, the first started winning ties, so the finisher and the order
 of real departures are those of one push per copy.  Every copy's service
-time is still drawn.
+time is still drawn.  Its answer is fixed by the offered server, the
+status of every server and whether a job is queued, so each run keeps a
+table from that key to the answer and asks the policy only on a miss.
+A job with one copy frees its server as it departs.
 
 A saturated run whose laws are atomic on a lattice of step g
 (distributions._lattice_step) that is no binary fraction, such as 0.1,
@@ -68,6 +71,7 @@ _WARMUP_FRACTION = 0.01
 _N_BATCHES = 20
 _UNSTABLE_QUEUE_FACTOR = 10.0
 _BLOCK = 256
+_TABLE_SIZE = 1 << 14  # offers a _Sim remembers before it starts afresh
 # run_poisson's worker count; None means one per CPU in the affinity set
 _WORKERS = None
 
@@ -159,6 +163,8 @@ class _Sim:
         self.delta = config.delta
         self.policy = policy
         self.reads_jobs = policy.reads_jobs
+        # offer -> answer of a policy that reads no job views; None otherwise
+        self.table = None if self.reads_jobs else {}
         self.trace = trace
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(self.k + 1)]
         self.draws = [_blocks(partial(d.sample_array, rng)) for d, rng in zip(self.dists, rngs)]
@@ -234,10 +240,9 @@ class _Sim:
         )
 
     def _scan(self, now):
-        if not self.n_idle:
-            return
         self.snapshot = None
         status = self.status
+        table = self.table
         acted = True
         while acted and self.n_idle:
             acted = False
@@ -247,7 +252,15 @@ class _Sim:
                 can_new = self.arrivals is None or self.started < len(self.arrivals)
                 if not can_new and not self.jobs:
                     return
-                dec = self.policy.decide(self._observation(s, now, can_new))
+                if table is None:
+                    dec = self.policy.decide(self._observation(s, now, can_new))
+                else:  # the offer is all such a policy reads; see the module docstring
+                    key = (s, tuple(status), can_new)
+                    dec = table.get(key)
+                    if dec is None:
+                        if len(table) >= _TABLE_SIZE:
+                            table.clear()
+                        dec = table[key] = self.policy.decide(self._observation(s, now, can_new))
                 if dec.kind != "wait":
                     self._apply(dec, s, now)
                     acted = True
@@ -257,69 +270,71 @@ class _Sim:
             raise PolicyError(f"unknown decision kind {dec.kind!r}")
         placed = False
         for group, target in dec.plan:
-            group = tuple(sorted(group))
+            if type(group) is not tuple or len(group) > 1:
+                try:
+                    group = tuple(sorted(group))
+                except TypeError:
+                    raise PolicyError(f"plan group {group!r} is no set of server indices") from None
+            if not group:
+                raise PolicyError(f"plan {dec.plan!r} has an empty server group")
             placed = placed or offered in group
             if target == "new":
-                self._start_new(group, now)
+                job_id = self.started
+                if self.arrivals is None:
+                    arrival = now
+                elif job_id < len(self.arrivals):
+                    arrival = self.arrivals[job_id]
+                else:
+                    raise PolicyError("new-job decision with an empty queue")
+                self.started = job_id + 1
+                job = self.jobs[job_id] = _Job(job_id, arrival, group[0])
             else:
-                self._add_replicas(target, group, now)
+                # a running job's servers are busy, so _launch refuses them
+                job = self.jobs.get(target)
+                if job is None:
+                    raise PolicyError(f"replication target job {target} has no active copies")
+            self._launch(job, group, now)
         if not placed:
             # the offered server stays idle and would be offered again forever
             raise PolicyError(f"plan does not place the offered server {offered}")
 
-    def _start_new(self, servers, now):
-        job_id = self.started
-        if self.arrivals is None:
-            arrival = now
-        elif job_id < len(self.arrivals):
-            arrival = self.arrivals[job_id]
-        else:
-            raise PolicyError("new-job decision with an empty queue")
-        self.started += 1
-        job = _Job(job_id, arrival, servers[0])
-        self.jobs[job_id] = job
-        self._launch(job, servers, now)
-
-    def _add_replicas(self, job_id, servers, now):
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise PolicyError(f"replication target job {job_id} has no active copies")
-        for s in servers:
-            if s in job.servers:
-                raise PolicyError(f"job {job_id} already runs on server {s}")
-        self._launch(job, servers, now)
-
-    def _launch(self, job, servers, now):
-        """Start a copy of job on each of servers, in order.  Each copy's
-        end is pushed as a DEPART, or only the earliest one when the policy
-        reads no job views (see the module docstring)."""
+    def _launch(self, job, group, now):
+        """Start a copy of job on each server of group, in order.  Each
+        copy's end is pushed as a DEPART, or only the earliest one when the
+        policy reads no job views (see the module docstring)."""
         status = self.status
+        starts = job.starts
         saturated = self.arrivals is None
         each = self.reads_jobs
-        first = None  # (end, server) of the earliest copy when not each
-        for s in servers:
-            if status[s] != _IDLE:
-                raise PolicyError(f"server {s} is not idle")
+        first = None  # server of the earliest copy when not each
+        job.servers += group
+        for s in group:
+            try:
+                idle = status[s] == _IDLE and s >= 0
+            except (IndexError, TypeError):  # not a server index
+                idle = False
+            if not idle:
+                raise PolicyError(f"server {s!r} of the plan group {group!r} is not an idle server")
             if saturated:
                 gap = now - self.idle_since[s]
                 if gap > self.max_idle_gap:
                     self.max_idle_gap = gap
             status[s] = _BUSY
-            self.n_idle -= 1
-            job.servers += (s,)
-            job.starts.append(now)
+            starts.append(now)
+            end = now + next(self.draws[s])
             if each:
-                self._push(now + next(self.draws[s]), _DEPART, job, s)
+                self._push(end, _DEPART, job, s)
             else:
-                end = now + next(self.draws[s])
                 if self.snap is not None:
                     end = self.snap(end)
-                if first is None or end < first[0]:
-                    first = (end, s)
+                if first is None or end < first_end:
+                    first, first_end = s, end
             if self.trace is not None:
-                self.trace.append((now, "start", job.id, s, len(job.servers)))
+                self.trace.append((now, "start", job.id, s, len(starts)))
+        self.n_idle -= len(group)
         if first is not None:
-            _Sim._push(self, first[0], _DEPART, job, first[1])
+            self.seq += 1
+            heapq.heappush(self.heap, (first_end, _DEPART, self.seq, job, first))
         self.snapshot = None
 
     # -- events ---------------------------------------------------------------
@@ -328,10 +343,14 @@ class _Sim:
         job.departed = True
         servers = job.servers
         ncopies = len(servers)
-        cost = len(job.starts) * now - math.fsum(job.starts)
-        if ncopies >= 2:
+        if ncopies == 1:
+            cost = now - job.starts[0]
+            self.status[finisher] = _IDLE
+            self.idle_since[finisher] = now
+            self.n_idle += 1
+        else:
             delta = self.delta
-            cost += delta * ncopies
+            cost = ncopies * now - math.fsum(job.starts) + delta * ncopies
             if delta > 0:
                 until = now + delta
                 for s in servers:
@@ -340,8 +359,6 @@ class _Sim:
                 self._push(until, _CANCEL_END, servers, job.id)
             else:
                 self._free(servers, now)
-        else:
-            self._free((finisher,), now)
         del self.jobs[job.id]
         self.dep_times.append(now)
         self.dep_cost.append(cost)
@@ -400,7 +417,8 @@ class _Sim:
                     self._cancel_end(a, b, t)
                 else:
                     self._arrive(t, n_jobs)
-            self._scan(t)
+            if self.n_idle:
+                self._scan(t)
         # nothing runs, cancels or arrives, so nothing will happen again
         raise PolicyError(
             f"the policy left every server idle with jobs waiting, after "

@@ -73,8 +73,9 @@ class Policy:
     observation, the job views and the cancelling servers.  A subclass
     sets it False only if its answer depends on nothing else than the
     offered server, the idle servers, can_new, the laws and the delay;
-    the simulator then passes both empty and skips re-offers that could
-    only get the same wait.
+    the simulator then passes both empty, skips re-offers that could only
+    get the same wait, and reuses one answer for every equal offer within
+    a run, so decide() must be pure.
     """
 
     name = "policy"

@@ -523,30 +523,68 @@ class TestShippedExperiments:
         assert any(",depart," in l for l in lines[1:])
 
     def test_gnuplot_emission(self, tmp_path):
+        # an analytic sweep: one line per policy through every sweep point
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(EXAMPLE1)
+        swept = EXAMPLE1.replace("(1,0.9),(20,0.1)", "(1,1-$p),(20,$p)")
+        cfg.write_text(swept + "sweep = p: 0.1:0.3:0.1\n")
         out = tmp_path / "out.csv"
         plot = tmp_path / "plot.gp"
         code = main(
             ["analytic", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)]
         )
         assert code == 0
-        assert "plot" in plot.read_text()
+        lines = self._plotted(plot.read_text(), out.read_text())
+        assert [title for _, _, title, _ in lines] == ["norep", "fullrep"]
+        for x, y, title, rows in lines:
+            assert (x, y) == ("p", "throughput")
+            assert [float(r["p"]) for r in rows] == pytest.approx([0.1, 0.2, 0.3])
+            assert {r["policy"] for r in rows} == {title}
 
     @pytest.mark.parametrize(
-        "command,name",
-        [("analytic", "example1_analytic.cfg"), ("bound", "bound_mixed_pair.cfg")],
+        "command,name", [("analytic", "example1_analytic.cfg"), ("bound", "bound_p_sweep.cfg")]
     )
     def test_gnuplot_plots_columns_of_the_csv(self, tmp_path, command, name):
+        # one line per policy (analytic: as the config names it) or bound kind
+        titles = {"analytic": ["norep", "fullrep", "best-partition"], "bound": ["pause"]}[command]
         cfg = pathlib.Path(__file__).parent.parent / "experiments" / name
         out, plot = tmp_path / "out.csv", tmp_path / "plot.gp"
         code = main([command, "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
         assert code == 0
         header = out.read_text().splitlines()[1].split(",")
-        (line,) = [l for l in plot.read_text().splitlines() if l.startswith("plot")]
-        assert line.startswith(f"plot '{out}' using ")
-        x, y = line.split(" using ")[1].split(" with ")[0].split(":")
-        assert x.strip("'") in header and y.strip("'") in header
+        data = list(csv.DictReader(io.StringIO(out.read_text().split("\n", 1)[1])))
+        lines = self._plotted(plot.read_text(), out.read_text())
+        assert [title for _, _, title, _ in lines] == titles
+        points = [r["p"] for r in data][:: len(titles)]
+        for x, y, title, rows in lines:
+            assert x == "p" and y in header
+            assert [r["p"] for r in rows] == points
+        # the lines together draw every row once
+        drawn = [tuple(r.values()) for *_, rows in lines for r in rows]
+        assert sorted(drawn) == sorted(tuple(r.values()) for r in data)
+
+    @pytest.mark.parametrize(
+        "command,name", [("analytic", "homog_best_r.cfg"), ("bound", "bound_mixed_pair.cfg")]
+    )
+    def test_gnuplot_of_a_table_without_a_sweep_exits_two(self, tmp_path, capsys, command, name):
+        # rows labelled by policy or bound kind have no numeric x to plot against
+        cfg = pathlib.Path(__file__).parent.parent / "experiments" / name
+        out, plot = tmp_path / "t.csv", tmp_path / "t.gp"
+        code = main([command, "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("config error:")
+        assert "numeric x" in captured.err
+        assert not plot.exists() and not out.exists()
+
+    def test_gnuplot_of_bound_kinds_that_change_along_the_sweep_exits_two(self, tmp_path, capsys):
+        # two exponential servers are identical at x = 1 only, where the
+        # homogeneous bound joins the pause bound: no kind has a row per point
+        text = "servers = exp(1), exp($x)\ndelta = 0\nbound = both\nsweep = x: 1, 2\n"
+        cfg, out, plot = tmp_path / "b.cfg", tmp_path / "b.csv", tmp_path / "b.gp"
+        cfg.write_text(text)
+        code = main(["bound", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 2 and "same bound kinds at every sweep point" in captured.err
+        assert not plot.exists() and not out.exists()
 
     def test_gnuplot_is_not_offered_on_the_policy_table(self, tmp_path, capsys):
         # the mdp CSV has no y column to plot

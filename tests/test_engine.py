@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -243,6 +244,14 @@ class _OnlyServerZero(Policy):
         return WAIT
 
 
+class _CopyOnNew(Policy):
+    # NoRep's answer through the default reads_jobs = True
+    name = "copy-on-new"
+
+    def decide(self, obs):
+        return Decision("plan", (((obs.server,), "new"),)) if obs.can_new else WAIT
+
+
 class _Collector(Policy):
     """Threshold replication, one extra copy after 1 time unit, that keeps
     every observation it is offered."""
@@ -309,6 +318,66 @@ class TestDepartureEvents:
         sim, copies, cancel_ends = self._run(AdaRep(homogeneous=(0.5, 1, 1.5, 2, 3)))
         assert copies > sim.started and cancel_ends > 0
         assert sim.seq == copies + cancel_ends
+
+
+class TestDecisionTable:
+    """A policy that reads no job views is asked once per distinct offer
+    (server, status of every server, can_new) of a run; the others at
+    every offer.  Counts and throughputs recorded before the table."""
+
+    CONFIG = SystemConfig((HyperExp(0.6, 0.2, 0.4),) * 6, 0.1)  # homog_k6's laws
+    HALVES = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})))
+
+    def _asked(self, base, *args):
+        """The offer of every decide call of a 15,000-job run, and its throughput."""
+
+        class Counted(base):
+            def decide(self, obs):
+                offers.append((obs.server, tuple(sim.status), obs.can_new))
+                return super().decide(obs)
+
+        offers = []
+        sim = engine._Sim(self.CONFIG, Counted(*args), 7)
+        sim.run(15000)
+        return offers, run_saturated(self.CONFIG, base(*args), 15000, 7).throughput
+
+    @pytest.mark.parametrize(
+        "base,args,calls,throughput",
+        [
+            (NoRep, (), 11, 2.046409310646111),
+            (FullRep, (), 1, 2.0511606043245862),
+            (UpfrontRep, (HALVES,), 5, 2.1765007221384494),
+        ],
+        ids=["norep", "fullrep", "upfront"],
+    )
+    def test_static_policy_is_asked_once_per_offer(self, base, args, calls, throughput):
+        offers, got = self._asked(base, *args)
+        assert len(offers) == len(set(offers)) == calls
+        assert got == throughput
+
+        class Asked(base):  # asked at every offer, with one departure per copy
+            reads_jobs = True
+
+        assert run_saturated(self.CONFIG, Asked(*args), 15000, 7).throughput == throughput
+
+    def test_full_table_starts_afresh(self, monkeypatch):
+        monkeypatch.setattr(engine, "_TABLE_SIZE", 2)
+        offers, got = self._asked(UpfrontRep, self.HALVES)
+        assert len(offers) > 5 and got == 2.1765007221384494
+
+    @pytest.mark.parametrize(
+        "base,args,calls,throughput",
+        [
+            (_CopyOnNew, (), 15005, 2.046409310646111),
+            (AdaRep, ((), (0.5, 1, 1.5, 2, 3)), 34969, 2.2479924961447297),
+            (MaxRate, (), 49385, 2.1774202288674562),
+        ],
+        ids=["user", "adarep-hom", "maxrate"],
+    )
+    def test_policy_that_reads_jobs_is_asked_at_every_offer(self, base, args, calls, throughput):
+        offers, got = self._asked(base, *args)
+        assert len(offers) == calls
+        assert got == throughput
 
 
 class TestRandomStreams:
@@ -449,7 +518,34 @@ class _EmptyPlanner(Policy):
         return Decision("plan")
 
 
+class _FixedPlan(Policy):
+    # the same plan at every offer
+    name = "fixed"
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def decide(self, obs):
+        return Decision("plan", self.plan)
+
+
 class TestPolicyErrors:
+    @pytest.mark.parametrize(
+        "plan,message",
+        [
+            ((((0, -1), "new"),), "server -1 of the plan group (-1, 0)"),
+            ((((0, 2), "new"),), "server 2 of the plan group (0, 2)"),
+            ((((0,), "new"), ((), "new")), "empty server group"),
+            ((((0.0,), "new"),), "server 0.0 of the plan group (0.0,)"),
+            ((((0, "a"), "new"),), "plan group (0, 'a') is no set of server indices"),
+        ],
+        ids=["negative", "past-k", "empty", "float", "unsortable"],
+    )
+    def test_plan_group_names_idle_servers(self, plan, message):
+        config = SystemConfig((Exponential(1.0),) * 2, 0.0)
+        with pytest.raises(PolicyError, match=re.escape(message)):
+            run_saturated(config, _FixedPlan(plan), 100, seed=0)
+
     def test_replicating_missing_job(self):
         with pytest.raises(PolicyError):
             run_saturated(EXAMPLE, _BrokenReplicator(), 100, seed=0)

@@ -16,6 +16,7 @@ Poisson upfront groups, whose idle servers used to be offered again at
 the ends of cancelled copies.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites them."""
 
+import math
 import pathlib
 
 import pytest
@@ -94,6 +95,60 @@ def test_every_trace_file_has_a_case():
 @pytest.mark.parametrize("name", sorted(TRACES))
 def test_event_trace_reproduces_its_golden_file(name):
     assert _trace_text(name) == (TRACE_DIR / f"{name}.csv").read_text()
+
+
+def _check_bookkeeping(rows, k, delta, horizon, lam):
+    """The event rows of a run keep the engine's books: every job starts
+    after it arrives and departs once, with as many copies as it started;
+    with delta > 0 a job of two or more copies ends one cancellation window
+    per copy, delta after it departs; and no server starts a copy while it
+    runs one or cancels.  Jobs still running at the horizon have not departed."""
+    copies = {}  # job -> servers in start order
+    arrived, departed = set(), set()
+    running = {}  # server -> job
+    cancelling = {}  # server -> (job, end of its window)
+    for t, ev, job, server, detail in rows:
+        if ev == "start":
+            assert 0 <= server < k and server not in running and server not in cancelling
+            assert job not in departed and (job in arrived or not lam)
+            running[server] = job
+            copies.setdefault(job, []).append(server)
+            assert detail == len(copies[job])
+        elif ev == "depart":
+            assert job not in departed and server in copies[job]
+            departed.add(job)
+            assert detail == len(copies[job])
+            for s in copies[job]:
+                assert running.pop(s) == job
+                if delta > 0 and detail >= 2:
+                    cancelling[s] = (job, t + delta)
+        elif ev == "cancel_end":
+            end_job, end = cancelling.pop(server)
+            assert job == end_job and math.isclose(t, end, rel_tol=1e-12) and detail == delta
+        else:
+            arrived.add(job)
+    assert departed and set(copies) == departed | set(running.values())
+    # a window still open at the horizon ends past it
+    assert all(end > horizon for _, end in cancelling.values())
+
+
+BOOKKEEPING = dict(
+    TRACES,
+    poisson_upfront_delay=(
+        SystemConfig(TRACES["example_poisson_upfront"][0].servers, 0.5),
+        parse_policy("upfront:[[1,2],[3]]"),
+        0.6,
+        400.0,
+        11,
+    ),
+)
+
+
+@pytest.mark.parametrize("name", sorted(BOOKKEEPING))
+def test_event_rows_keep_the_books(name):
+    system, policy, lam, horizon, seed = BOOKKEEPING[name]
+    rows = event_trace(system, policy, horizon, seed, lam)
+    _check_bookkeeping(rows, system.k, system.delta, horizon, lam)
 
 
 if __name__ == "__main__":
