@@ -12,6 +12,7 @@ it is a deterministic function of the config and seed.  Exit codes:
 import argparse
 import csv
 import io
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -77,7 +78,7 @@ def _build_parser():
                 default="",
                 help="write the event log of the first run (up to --horizon) here",
             )
-            p.add_argument("--horizon", type=float, default=100.0)
+            p.add_argument("--horizon", type=_horizon, default=100.0)
         p.set_defaults(handler=handler)
     return parser
 
@@ -92,6 +93,14 @@ def _count(text, least=1):
 def _paths(text):
     # a Monte-Carlo standard error needs two sample paths
     return _count(text, 2)
+
+
+def _horizon(text):
+    # event_trace replays a run up to a finite time
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def _seed(text):
@@ -140,7 +149,9 @@ def cmd_analytic(cfg: ExperimentConfig, args):
 
 def _analytic_row(spec, system):
     ds, delta = system.servers, system.delta
-    head = spec.split(":", 1)[0]
+    head, _, arg = spec.partition(":")
+    if arg.strip() and head in ("norep", "fullrep", "best-partition", "best-r"):
+        raise ValueError(f"unknown argument {arg.strip()!r} in policy literal {spec!r}")
     if head == "norep":
         rep = analytic.throughput_norep(ds)
     elif head == "fullrep":

@@ -7,32 +7,27 @@ assignable servers are offered to the policy in ascending index order once
 all events at a timestamp have been handled.  Identical (config, policy,
 seed) triples therefore reproduce identical trajectories bit for bit.
 
-There are three kinds of event.  A copy's DEPART is pushed when the copy
-starts; the first one of a job to be popped departs the job.  A job that
-departs with two or more copies and delta > 0 pushes one CANCEL_END for
-all its servers, which frees them in the order the copies started.  The
-ARRIVE events of a Poisson run each push the next arrival.  The DEPART
-events of the cancelled copies stay in the heap: popping one does nothing,
-but it still ends a timestamp, so idle servers are offered again at the
-time a cancelled copy would have ended, when a policy that reads elapsed
-times may act.  No server is offered while none is idle, so a timestamp
-that leaves every server busy or cancelling costs no scan.
+There are three kinds of event.  Every launch of copies started together
+draws each copy's service time and pushes one DEPART at the earliest end,
+the first started copy winning ties; the first DEPART of a job to be
+popped departs the job.  A job that departs with two or more copies and
+delta > 0 pushes one CANCEL_END for all its servers, which frees them in
+the order the copies started.  The ARRIVE events of a Poisson run each
+push the next arrival.  A DEPART of replicas that a later launch added to
+a running job stays in the heap when an earlier copy wins: popping it
+does nothing, but it still ends a timestamp, so idle servers are offered
+again then.  No server is offered while none is idle, so a timestamp that
+leaves every server busy or cancelling costs no scan.
 
 A policy whose ``reads_jobs`` is False (NoRep, FullRep, UpfrontRep) sees
-no job views and no cancelling servers, so its observation changes only
-at real events, and a re-offer at a cancelled copy's end would get the
-same wait as the last scan.  For such a policy the engine builds no views
-and pushes one DEPART per launch: the earliest end of the copies started
-together, the first started winning ties, so the finisher and the order
-of real departures are those of one push per copy.  Every copy's service
-time is still drawn.  Its answer is fixed by the offered server, the
-status of every server and whether a job is queued, so each run keeps a
-table from that key to the answer and asks the policy only on a miss.
-A job with one copy frees its server as it departs.
+no job views and no cancelling servers.  Its answer is fixed by the
+offered server, the status of every server and whether a job is queued,
+so each run keeps a table from that key to the answer and asks the policy
+only on a miss.  A job with one copy frees its server as it departs.
 
 A saturated run whose laws are atomic on a lattice of step g
 (distributions._lattice_step) that is no binary fraction, such as 0.1,
-snaps every departure and cancellation-window end to the multiple of g
+snaps every copy's end and cancellation-window end to the multiple of g
 nearest it, so that events simultaneous on the lattice share one
 timestamp, as in the decision process.  Integer and dyadic lattices,
 non-atomic laws and Poisson runs are left as they are.
@@ -162,9 +157,8 @@ class _Sim:
         self.k = config.k
         self.delta = config.delta
         self.policy = policy
-        self.reads_jobs = policy.reads_jobs
         # offer -> answer of a policy that reads no job views; None otherwise
-        self.table = None if self.reads_jobs else {}
+        self.table = None if policy.reads_jobs else {}
         self.trace = trace
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(self.k + 1)]
         self.draws = [_blocks(partial(d.sample_array, rng)) for d, rng in zip(self.dists, rngs)]
@@ -191,12 +185,11 @@ class _Sim:
         self.q_mid = 0
         self.q_end = 0
         self.served_at_horizon = 0
-        self.snap = None
-        if self.arrivals is None:  # snap to a non-binary lattice; see the module docstring
+        self.snap = None  # to a non-binary lattice; see the module docstring
+        if self.arrivals is None:
             step = _lattice_step(self.dists, self.delta)
             if step is not None and float(step) != step:
                 g = float(step)
-                self._push = partial(self._push_on_lattice, g, step)
                 self.snap = lambda time: _time_of(_ticks(time, g), step)
 
     # -- event plumbing ------------------------------------------------------
@@ -205,11 +198,6 @@ class _Sim:
         self.seq += 1
         heapq.heappush(self.heap, (time, kind, self.seq, a, b))
 
-    def _push_on_lattice(self, g, step, time, kind, a, b):
-        """_push at the multiple of the lattice step nearest time: the float
-        nearest that multiple, the same for every event due there."""
-        _Sim._push(self, _time_of(_ticks(time, g), step), kind, a, b)
-
     # -- decisions -------------------------------------------------------------
 
     def _observation(self, server, now, can_new):
@@ -217,7 +205,7 @@ class _Sim:
         # __new__, which costs more than the tuple itself on this path
         if self.snapshot is None:
             views = []
-            for job in self.jobs.values() if self.reads_jobs else ():
+            for job in self.jobs.values() if self.table is None else ():
                 starts = job.starts
                 if len(starts) == 1:
                     elapsed = (now - starts[0],)
@@ -229,7 +217,7 @@ class _Sim:
             status = self.status
             idle = tuple([i for i in range(self.k) if status[i] == _IDLE])
             cancelling = ()
-            if self.delta > 0 and self.reads_jobs:
+            if self.delta > 0 and self.table is None:
                 cancelling = tuple(
                     [(i, self.cancel_until[i] - now) for i in range(self.k) if status[i] == _CANCEL]
                 )
@@ -299,14 +287,13 @@ class _Sim:
             raise PolicyError(f"plan does not place the offered server {offered}")
 
     def _launch(self, job, group, now):
-        """Start a copy of job on each server of group, in order.  Each
-        copy's end is pushed as a DEPART, or only the earliest one when the
-        policy reads no job views (see the module docstring)."""
+        """Start a copy of job on each server of group, in order, and push
+        one DEPART at the earliest end (see the module docstring)."""
         status = self.status
         starts = job.starts
         saturated = self.arrivals is None
-        each = self.reads_jobs
-        first = None  # server of the earliest copy when not each
+        snap = self.snap
+        first = None  # server of the earliest copy
         job.servers += group
         for s in group:
             try:
@@ -322,19 +309,15 @@ class _Sim:
             status[s] = _BUSY
             starts.append(now)
             end = now + next(self.draws[s])
-            if each:
-                self._push(end, _DEPART, job, s)
-            else:
-                if self.snap is not None:
-                    end = self.snap(end)
-                if first is None or end < first_end:
-                    first, first_end = s, end
+            if snap is not None:
+                end = snap(end)
+            if first is None or end < first_end:
+                first, first_end = s, end
             if self.trace is not None:
                 self.trace.append((now, "start", job.id, s, len(starts)))
         self.n_idle -= len(group)
-        if first is not None:
-            self.seq += 1
-            heapq.heappush(self.heap, (first_end, _DEPART, self.seq, job, first))
+        self.seq += 1
+        heapq.heappush(self.heap, (first_end, _DEPART, self.seq, job, first))
         self.snapshot = None
 
     # -- events ---------------------------------------------------------------
@@ -356,6 +339,8 @@ class _Sim:
                 for s in servers:
                     self.status[s] = _CANCEL
                     self.cancel_until[s] = until
+                if self.snap is not None:
+                    until = self.snap(until)
                 self._push(until, _CANCEL_END, servers, job.id)
             else:
                 self._free(servers, now)
@@ -642,6 +627,8 @@ def event_trace(
     """Replay a run up to the time horizon, returning ordered event rows
     (time, event, job_id, server, detail).  Bit-identical across repeated
     invocations with the same arguments."""
+    if not 0 <= horizon < INF:  # nan too: the run would go on for 10**9 departures
+        raise ValueError(f"need 0 <= horizon < inf, got {horizon}")
     trace = []
     _Sim(config, policy, seed, lam, trace).run(n_jobs=10**9, horizon=horizon)
     return [row for row in trace if row[0] <= horizon]

@@ -73,9 +73,8 @@ class Policy:
     observation, the job views and the cancelling servers.  A subclass
     sets it False only if its answer depends on nothing else than the
     offered server, the idle servers, can_new, the laws and the delay;
-    the simulator then passes both empty, skips re-offers that could only
-    get the same wait, and reuses one answer for every equal offer within
-    a run, so decide() must be pure.
+    the simulator then passes both empty and reuses one answer for every
+    equal offer within a run, so decide() must be pure.
     """
 
     name = "policy"
@@ -455,12 +454,13 @@ def parse_policy(text: str) -> Policy:
     text = text.strip()
     head, _, args = text.partition(":")
     head = head.strip().lower()
-    if head == "norep":
-        return NoRep()
-    if head == "fullrep":
-        return FullRep()
-    if head == "maxrate":
-        return MaxRate(include_cancel_delay=args.strip() != "nodelta")
+    if head in ("norep", "fullrep", "maxrate"):
+        arg = args.strip()
+        if arg and (head, arg) != ("maxrate", "nodelta"):
+            raise ValueError(f"unknown argument {arg!r} in policy literal {text!r}")
+        if head == "maxrate":
+            return MaxRate(include_cancel_delay=not arg)
+        return NoRep() if head == "norep" else FullRep()
     if head == "upfront":
         groups = _eval_literal(args, "upfront")
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):

@@ -122,6 +122,12 @@ class TestAnalyticCommand:
         assert code == 0
         assert (rows[0]["throughput"], rows[0]["error"]) == ("", "best-r needs identical servers")
 
+    @pytest.mark.parametrize("spec", ["norep:5", "fullrep:x", "best-partition:zz", "best-r:2"])
+    def test_policy_with_an_unknown_argument_is_an_error_row(self, tmp_path, spec):
+        code, rows, _ = run_cli(tmp_path, ["analytic"], EXAMPLE1.replace("norep; fullrep", spec))
+        assert code == 0
+        assert rows[0]["throughput"] == "" and repr(spec) in rows[0]["error"]
+
     @pytest.mark.parametrize(
         "servers",
         ["det(0), det(2)", "finite([(0,1)]), det(2)", "det(2), finite([(0,1-$p),($p,$p)])"],
@@ -291,6 +297,22 @@ class TestSimulateCommand:
         code, rows, _ = run_cli(tmp_path, ["simulate", "--jobs", "50"], text)
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("spec", ["norep:3", "fullrep:xyz", "maxrate:nodelta2"])
+    def test_policy_with_an_unknown_argument_exits_two(self, tmp_path, capsys, spec):
+        text = EXAMPLE1.replace("norep; fullrep", spec) + "jobs = 200\n"
+        code, rows, _ = run_cli(tmp_path, ["simulate"], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "-1", "1e400"])
+    def test_trace_horizon_out_of_range_exits_two(self, tmp_path, horizon):
+        # inf and nan would run toward 10**9 departures, -1 would write an empty trace
+        trace = tmp_path / "trace.csv"
+        args = ["simulate", "--trace", str(trace), "--horizon", horizon]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, args, EXAMPLE1 + "jobs = 200\n")
+        assert exc.value.code == 2 and not trace.exists()
 
 
 class TestBoundCommand:

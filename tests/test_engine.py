@@ -31,6 +31,7 @@ from repliq.engine import (
     run_saturated,
 )
 from repliq.errors import PolicyError
+from repliq.mdp import as_tabular_policy, build_mdp, solve_average_cost
 from repliq.policies import (
     AdaRep,
     Decision,
@@ -153,6 +154,11 @@ class TestEventTrace:
         departures = [t for t, ev, *_ in rows if ev == "depart"]
         assert departures == [2.0, 2.0, 4.0, 4.0, 6.0, 6.0, 8.0, 8.0]
 
+    @pytest.mark.parametrize("horizon", [INF, math.nan, -1.0])
+    def test_horizon_must_be_finite_and_non_negative(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            event_trace(EXAMPLE, NoRep(), horizon=horizon, seed=1)
+
     def test_same_seed_identical_logs(self):
         a = event_trace(EXAMPLE, ADAREP_EXAMPLE, horizon=200.0, seed=9)
         b = event_trace(EXAMPLE, ADAREP_EXAMPLE, horizon=200.0, seed=9)
@@ -221,7 +227,7 @@ class TestEventTrace:
     )
     def test_only_saturated_runs_on_non_binary_lattices_snap(self, servers, delta, lam, snaps):
         sim = engine._Sim(SystemConfig(servers, delta), NoRep(), 0, lam)
-        assert ("_push" in vars(sim)) == snaps
+        assert (sim.snap is not None) == snaps
 
 def _durations(rows, server):
     """Service times of the jobs that server completed, in start order."""
@@ -290,8 +296,9 @@ class TestObservations:
 
 
 class TestDepartureEvents:
-    """Policies that read no job views get one DEPART per job; the others
-    keep one per copy.  _Sim.seq counts every push."""
+    """Every policy gets one DEPART per launch: the copies started together
+    on one group push one event at their earliest end.  _Sim.seq counts
+    every push."""
 
     CONFIG = SystemConfig((HyperExp(0.6, 0.2, 0.4),) * 6, 0.1)  # homog_k6's laws
 
@@ -308,13 +315,36 @@ class TestDepartureEvents:
         assert copies == 6 * sim.started
         assert sim.seq == sim.started + cancel_ends <= 2 * sim.started
 
+    def test_policy_that_reads_jobs_pushes_one_departure_per_job(self):
+        class Asked(FullRep):
+            reads_jobs = True
+
+        sim, copies, cancel_ends = self._run(Asked())
+        assert copies == 6 * sim.started
+        assert sim.seq == sim.started + cancel_ends
+
+    @pytest.mark.parametrize("pairs", [1, 2], ids=["mdp_lattice", "doubled"])
+    def test_lattice_tabular_replay_pushes_one_departure_per_launch(self, pairs):
+        # the solved policy of experiments/mdp_lattice.cfg, and of its laws
+        # taken twice, whose refill plans start some jobs on two servers
+        kernel = build_mdp(LATTICE * pairs, 0.1)
+        policy = as_tabular_policy(kernel, solve_average_cost(kernel))
+        trace = []
+        sim = engine._Sim(SystemConfig(LATTICE * pairs, 0.1), policy, 5, trace=trace)
+        sim.run(2000)
+        starts = [(t, job) for t, ev, job, _, _ in trace if ev == "start"]
+        launches = len(set(starts))
+        cancel_ends = sum(1 for row in trace if row[1] == "depart" and row[4] >= 2)
+        assert sim.seq == launches + cancel_ends
+        assert (launches < len(starts)) == (pairs == 2)
+
     def test_upfront_pushes_one_departure_per_job(self):
         groups = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})))
         sim, copies, cancel_ends = self._run(UpfrontRep(groups))
         assert copies == 3 * sim.started
         assert sim.seq == sim.started + cancel_ends <= 2 * sim.started
 
-    def test_adarep_pushes_one_departure_per_copy(self):
+    def test_adarep_pushes_one_departure_per_copy(self):  # its launches are one copy each
         sim, copies, cancel_ends = self._run(AdaRep(homogeneous=(0.5, 1, 1.5, 2, 3)))
         assert copies > sim.started and cancel_ends > 0
         assert sim.seq == copies + cancel_ends
@@ -355,7 +385,7 @@ class TestDecisionTable:
         assert len(offers) == len(set(offers)) == calls
         assert got == throughput
 
-        class Asked(base):  # asked at every offer, with one departure per copy
+        class Asked(base):  # asked at every offer
             reads_jobs = True
 
         assert run_saturated(self.CONFIG, Asked(*args), 15000, 7).throughput == throughput

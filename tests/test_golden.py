@@ -11,9 +11,11 @@ and names every changed file and value in CHANGES.md.
 The event traces under ``golden/traces/`` pin the simulator's event order
 itself (starts, departures, cancellation-window ends, arrivals) on the
 cases where replicated copies are cancelled: six servers with a
-cancellation delay, the 0.1 lattice, Poisson arrivals with δ = 1, and
+cancellation delay, the 0.1 lattice, Poisson arrivals with δ = 1,
 Poisson upfront groups, whose idle servers used to be offered again at
-the ends of cancelled copies.
+the ends of cancelled copies, and the solved policy of
+``experiments/mdp_lattice.cfg`` replayed on its 0.1 lattice
+(``lattice_tabular``).
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites them."""
 
 import math
@@ -25,6 +27,7 @@ from repliq.cli import main
 from repliq.config import parse_config
 from repliq.distributions import parse_distribution
 from repliq.engine import SystemConfig, event_trace
+from repliq.mdp import as_tabular_policy, build_mdp, solve_average_cost
 from repliq.policies import FullRep, parse_policy
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -71,11 +74,17 @@ def _trace_cases():
     example = tuple(map(parse_distribution, ("det(2)", "finite([(1,0.9),(20,0.1)])")))
     adarep = parse_policy("adarep:{1->2:inf, 2->1:1}")
     cases["example_poisson_adarep"] = (SystemConfig(example, 1.0), adarep, 0.5, 600.0, 5)
-    # idle servers are offered again when a cancelled copy would have ended:
-    # the events a policy that reads no job views makes the engine drop
+    # one DEPART per launch: no idle server is offered again at the end of
+    # a group's losing copy
     upfront = parse_policy("upfront:[[1,2],[3]]")
     example3 = example + example[1:]
     cases["example_poisson_upfront"] = (SystemConfig(example3, 0.0), upfront, 0.5, 400.0, 5)
+    # the solved policy of mdp_lattice.cfg: multi-server refill plans, each
+    # group's copies snapped to the 0.1 lattice
+    system = parse_config((ROOT / "experiments" / "mdp_lattice.cfg").read_text()).materialize_system(None)
+    kernel = build_mdp(system.servers, system.delta)
+    tabular = as_tabular_policy(kernel, solve_average_cost(kernel))
+    cases["lattice_tabular"] = (system, tabular, 0.0, 20.0, 5)
     return cases
 
 

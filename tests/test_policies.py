@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -539,3 +540,13 @@ class TestParsing:
             parse_policy("lifo")
         with pytest.raises(ValueError):
             parse_policy("adarep:{1-2:1}")
+
+    @pytest.mark.parametrize("text", ["norep:3", "fullrep:xyz", "maxrate:nodelta2", "maxrate:delta"])
+    def test_rejects_an_argument_the_policy_does_not_take(self, text):
+        # they ran as the plain policy, maxrate with the delay
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_policy(text)
+
+    @pytest.mark.parametrize("text", ["norep:", "fullrep: ", "maxrate:"])
+    def test_empty_argument_is_the_plain_policy(self, text):
+        assert parse_policy(text).spec() == text.partition(":")[0]
