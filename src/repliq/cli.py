@@ -4,6 +4,13 @@ Subcommands: ``analytic`` (closed-form throughput tables), ``simulate``
 (saturated or Poisson-arrival runs), ``bound`` (capacity upper bounds),
 and ``mdp`` (solve the decision process and emit its policy table).
 
+All four share one table pipeline.  A subcommand gives the rows of one
+sweep point, each as (series key, title, row) with the command's own
+columns; ``_table`` runs it at every sweep point and puts the config
+digest, version and sweep value in front of every row, so a sweep may not
+share a name with a column.  ``--gnuplot`` draws one line per series key,
+titled by the series' first row.
+
 Every CSV starts with a ``# generated`` timestamp line; everything after
 it is a deterministic function of the config and seed.  Exit codes:
 0 success, 2 config error, 3 numeric error.
@@ -19,7 +26,7 @@ from datetime import datetime, timezone
 from . import __version__, analytic, bounds, engine, mdp
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, RepliqError
-from .policies import parse_policy
+from .policies import FullRep, NoRep, UpfrontRep, parse_policy
 
 
 def main(argv=None) -> int:
@@ -37,15 +44,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        rows, fields = args.handler(cfg, args)
-        lines = _lines(rows, axes[0], args.command, cfg) if axes else None
+        fields, table = _table(args, cfg)
+        lines = _lines(table, cfg) if axes else None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RepliqError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    _write_csv(rows, fields, out)
+    _write_csv([row for _, _, row in table], fields, out)
     if axes:
         _write_gnuplot(args.gnuplot, out, *axes, lines)
     return 0
@@ -118,69 +125,12 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _base_row(cfg, point):
-    row = {"config": cfg.digest, "version": __version__}
-    if cfg.sweep_name:
-        row[cfg.sweep_name] = point
-    return row
-
-
 _ANALYTIC_DEFAULT = ["norep", "fullrep"]  # the policies of an analytic config that lists none
 
-
-def cmd_analytic(cfg: ExperimentConfig, args):
-    fields = ["config", "version"]
-    if cfg.sweep_name:
-        fields.append(cfg.sweep_name)
-    fields += ["policy", "params", "throughput", "error"]
-    rows = []
-    for point in cfg.sweep_points():
-        system = cfg.materialize_system(point)
-        specs = cfg.policy_specs(point) or _ANALYTIC_DEFAULT
-        for spec in specs:
-            row = _base_row(cfg, point)
-            try:
-                row.update(_analytic_row(spec, system))
-            except (RepliqError, ValueError) as exc:  # ValueError: a malformed literal
-                row.update(policy=spec, params="", throughput="", error=str(exc))
-            rows.append(row)
-    return rows, fields
-
-
-def _analytic_row(spec, system):
-    ds, delta = system.servers, system.delta
-    head, _, arg = spec.partition(":")
-    if arg.strip() and head in ("norep", "fullrep", "best-partition", "best-r"):
-        raise ValueError(f"unknown argument {arg.strip()!r} in policy literal {spec!r}")
-    if head == "norep":
-        rep = analytic.throughput_norep(ds)
-    elif head == "fullrep":
-        rep = analytic.throughput_fullrep(ds, delta)
-    elif head == "upfront":
-        policy = parse_policy(spec)
-        rep = analytic.throughput_upfront(policy.partition, ds, delta)
-    elif head == "best-partition":
-        _, rep = analytic.best_partition(ds, delta)
-    elif head == "best-r":
-        if len(set(ds)) != 1:
-            raise ConfigError("best-r needs identical servers")
-        hom = analytic.best_homogeneous_r(ds[0], delta, len(ds))
-        return dict(
-            policy="best-r",
-            params=f"r*={hom.r_star};achievable={hom.achievable_exactly}",
-            throughput=_num(hom.bound),
-            error="",
-        )
-    else:
-        raise ConfigError(f"policy {spec!r} has no closed-form throughput")
-    return dict(policy=rep.policy, params=rep.params, throughput=_num(rep.value), error="")
-
-
-def cmd_simulate(cfg: ExperimentConfig, args):
-    fields = ["config", "version"]
-    if cfg.sweep_name:
-        fields.append(cfg.sweep_name)
-    fields += [
+# each command's own columns, after config, version and the sweep column
+_COLUMNS = {
+    "analytic": ["policy", "params", "throughput", "error"],
+    "simulate": [
         "policy",
         "params",
         "lambda",
@@ -191,78 +141,128 @@ def cmd_simulate(cfg: ExperimentConfig, args):
         "mean_response",
         "stderr",
         "unstable",
-    ]
+    ],
+    "bound": ["kind", "bound", "optimizer", "stderr", "error"],
+    "mdp": ["item", "state", "action", "value"],
+}
+
+
+def _table(args, cfg):
+    """(header, rows) of the command's table.  Each row is (series key,
+    title, CSV row): the command gives one sweep point's rows, and the
+    config digest, version and sweep value go in front of every one."""
+    columns = _COLUMNS[args.command]
+    if cfg.sweep_name in ("config", "version", *columns):
+        raise ConfigError(f"sweep {cfg.sweep_name!r} names a column of the {args.command} table")
+    header = ["config", "version", cfg.sweep_name] if cfg.sweep_name else ["config", "version"]
     rows = []
     for point in cfg.sweep_points():
-        system, policies = cfg.materialize(point)
-        if not policies:
-            raise ConfigError("simulate needs a policies list")
-        if getattr(args, "trace", ""):
-            lam = cfg.lambdas[0] if cfg.mode == "poisson" else 0.0
-            _write_trace(args.trace, system, policies[0], args.horizon, cfg.seed, lam)
-            args.trace = ""  # first run only
-        for policy in policies:
-            if cfg.mode == "saturated":
-                results = [engine.run_saturated(system, policy, cfg.jobs, cfg.seed)]
+        lead = {"config": cfg.digest, "version": __version__}
+        if cfg.sweep_name:
+            lead[cfg.sweep_name] = point
+        for key, title, row in args.handler(cfg, args, point):
+            rows.append((key, title, {**lead, **row}))
+    return header + columns, rows
+
+
+def cmd_analytic(cfg: ExperimentConfig, args, point):
+    """One row per policy literal, a line per position titled as the config writes it."""
+    system = cfg.materialize_system(point)
+    literals = cfg.policies_raw or _ANALYTIC_DEFAULT
+    for i, (literal, spec) in enumerate(zip(literals, cfg.policy_specs(point) or literals)):
+        try:
+            row = _analytic_row(spec, system)
+        except (RepliqError, ValueError) as exc:  # ValueError: a malformed literal
+            row = dict(policy=spec, error=str(exc))
+        yield i, literal, row
+
+
+def _analytic_row(spec, system):
+    ds, delta = system.servers, system.delta
+    head, _, arg = spec.partition(":")
+    head = head.strip().lower()  # as parse_policy reads the simulator's heads
+    if head in ("best-partition", "best-r") and arg.strip():
+        raise ValueError(f"unknown argument {arg.strip()!r} in policy literal {spec!r}")
+    if head == "best-partition":
+        _, rep = analytic.best_partition(ds, delta)
+    elif head == "best-r":
+        if len(set(ds)) != 1:
+            raise ConfigError("best-r needs identical servers")
+        hom = analytic.best_homogeneous_r(ds[0], delta, len(ds))
+        params = f"r*={hom.r_star};achievable={hom.achievable_exactly}"
+        return dict(policy="best-r", params=params, throughput=_num(hom.bound))
+    else:
+        policy = parse_policy(spec)
+        if isinstance(policy, NoRep):
+            rep = analytic.throughput_norep(ds)
+        elif isinstance(policy, FullRep):
+            rep = analytic.throughput_fullrep(ds, delta)
+        elif isinstance(policy, UpfrontRep):
+            rep = analytic.throughput_upfront(policy.partition, ds, delta)
+        else:
+            raise ConfigError(f"policy {spec!r} has no closed-form throughput")
+    return dict(policy=rep.policy, params=rep.params, throughput=_num(rep.value))
+
+
+def cmd_simulate(cfg: ExperimentConfig, args, point):
+    """One row per policy (and lambda), a line per policy (and lambda under
+    a poisson sweep) titled policy:params."""
+    system, policies = cfg.materialize(point)
+    if not policies:
+        raise ConfigError("simulate needs a policies list")
+    poisson = cfg.mode == "poisson"
+    if getattr(args, "trace", ""):
+        lam = cfg.lambdas[0] if poisson else 0.0
+        _write_trace(args.trace, system, policies[0], args.horizon, cfg.seed, lam)
+        args.trace = ""  # first run only
+    for i, policy in enumerate(policies):
+        for j, lam in enumerate(cfg.lambdas if poisson else [None]):
+            if poisson:
+                res = engine.run_poisson(system, policy, lam, cfg.jobs, cfg.runs, cfg.seed)
             else:
-                results = [
-                    engine.run_poisson(system, policy, lam, cfg.jobs, cfg.runs, cfg.seed)
-                    for lam in cfg.lambdas
-                ]
-            for res in results:
-                row = _base_row(cfg, point)
-                row.update(
-                    policy=res.policy,
-                    params=res.params,
-                    **{"lambda": "sat" if res.mode == "saturated" else _num(res.lam)},
-                    n_jobs=res.n_jobs,
-                    seed=res.seed,
-                    throughput=_num(res.throughput),
-                    mean_C=_num(res.mean_computing) if res.mode == "saturated" else "",
-                    mean_response=_num(res.mean_response) if res.mode == "poisson" else "",
-                    stderr=_num(
-                        res.throughput_stderr
-                        if res.mode == "saturated"
-                        else res.response_stderr
-                    ),
-                    unstable=int(res.unstable),
+                res = engine.run_saturated(system, policy, cfg.jobs, cfg.seed)
+            row = dict(
+                policy=res.policy,
+                params=res.params,
+                **{"lambda": _num(res.lam) if poisson else "sat"},
+                n_jobs=res.n_jobs,
+                seed=res.seed,
+                throughput=_num(res.throughput),
+                mean_C="" if poisson else _num(res.mean_computing),
+                mean_response=_num(res.mean_response) if poisson else "",
+                stderr=_num(res.response_stderr if poisson else res.throughput_stderr),
+                unstable=int(res.unstable),
+            )
+            title = f"{res.policy}:{res.params}" if res.params else res.policy
+            if poisson and cfg.sweep_name:
+                yield (i, j), f"{title} lambda={row['lambda']}", row
+            else:
+                yield i, title, row
+
+
+def cmd_bound(cfg: ExperimentConfig, args, point):
+    """One row per bound kind that applies, a line per kind."""
+    system, _ = cfg.materialize(point)
+    ds, delta = system.servers, system.delta
+    for kind in _bound_kinds(cfg, ds):
+        try:
+            if kind == "pause":
+                rep = bounds.optimize_pause_bound(ds[0], ds[1], delta)
+                opt = f"t12={_num(rep.optimizer[0])};t21={_num(rep.optimizer[1])}"
+            else:
+                rep = bounds.homogeneous_bound(
+                    ds[0],
+                    delta,
+                    len(ds),
+                    estimator=cfg.estimator,
+                    n_paths=cfg.paths,
+                    seed=cfg.seed,
                 )
-                rows.append(row)
-    return rows, fields
-
-
-def cmd_bound(cfg: ExperimentConfig, args):
-    fields = ["config", "version"]
-    if cfg.sweep_name:
-        fields.append(cfg.sweep_name)
-    fields += ["kind", "bound", "optimizer", "stderr", "error"]
-    rows = []
-    for point in cfg.sweep_points():
-        system, _ = cfg.materialize(point)
-        ds, delta = system.servers, system.delta
-        kinds = _bound_kinds(cfg, ds)
-        for kind in kinds:
-            row = _base_row(cfg, point)
-            row["kind"] = kind
-            try:
-                if kind == "pause":
-                    rep = bounds.optimize_pause_bound(ds[0], ds[1], delta)
-                    opt = f"t12={_num(rep.optimizer[0])};t21={_num(rep.optimizer[1])}"
-                else:
-                    rep = bounds.homogeneous_bound(
-                        ds[0],
-                        delta,
-                        len(ds),
-                        estimator=cfg.estimator,
-                        n_paths=cfg.paths,
-                        seed=cfg.seed,
-                    )
-                    opt = ";".join(_num(t) for t in rep.optimizer)
-                row.update(bound=_num(rep.value), optimizer=opt, stderr=_num(rep.stderr), error="")
-            except RepliqError as exc:
-                row.update(bound="", optimizer="", stderr="", error=str(exc))
-            rows.append(row)
-    return rows, fields
+                opt = ";".join(_num(t) for t in rep.optimizer)
+            row = dict(kind=kind, bound=_num(rep.value), optimizer=opt, stderr=_num(rep.stderr))
+        except RepliqError as exc:
+            row = dict(kind=kind, error=str(exc))
+        yield kind, kind, row
 
 
 def _bound_kinds(cfg, ds):
@@ -284,30 +284,21 @@ def _bound_kinds(cfg, ds):
     return kinds
 
 
-def cmd_mdp(cfg: ExperimentConfig, args):
-    fields = ["config", "version", "item", "state", "action", "value"]
-    rows = []
-    for point in cfg.sweep_points():
-        system, _ = cfg.materialize(point)
-        try:
-            kernel = mdp.build_mdp(system.servers, system.delta)
-        except ValueError as exc:  # a law the decision process cannot take
-            raise ConfigError(str(exc)) from exc
-        solution = mdp.solve_average_cost(kernel)
-        row = _base_row(cfg, point)
-        row.update(
-            item="gain",
-            state="",
-            action="",
-            value=f"gain={solution.gain!r};throughput={solution.throughput!r}"
-            f";states={kernel.n_states};method={solution.method}",
-        )
-        rows.append(row)
-        for state_str, action in mdp.policy_rows(kernel, solution):
-            row = _base_row(cfg, point)
-            row.update(item="policy", state=state_str, action=action, value="")
-            rows.append(row)
-    return rows, fields
+def cmd_mdp(cfg: ExperimentConfig, args, point):
+    """The gain row, then one row per state of the solved policy; no plot lines."""
+    system, _ = cfg.materialize(point)
+    try:
+        kernel = mdp.build_mdp(system.servers, system.delta)
+    except ValueError as exc:  # a law the decision process cannot take
+        raise ConfigError(str(exc)) from exc
+    solution = mdp.solve_average_cost(kernel)
+    value = (
+        f"gain={solution.gain!r};throughput={solution.throughput!r}"
+        f";states={kernel.n_states};method={solution.method}"
+    )
+    yield None, None, dict(item="gain", value=value)
+    for state_str, action in mdp.policy_rows(kernel, solution):
+        yield None, None, dict(item="policy", state=state_str, action=action)
 
 
 def _write_trace(path, system, policy, horizon, seed, lam):
@@ -327,10 +318,9 @@ def _write_csv(rows, fields, out_path):
     buf = io.StringIO()
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     buf.write(f"# generated {stamp}\n")
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in fields})
+    writer.writerows(rows)
     text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -367,36 +357,26 @@ def _write_gnuplot(path, csv_path, x, y, lines):
         fh.write(script)
 
 
-def _lines(rows, x, command, cfg):
+def _lines(table, cfg):
     """One plot line per series of a table: (title, first row, row stride,
-    last row).  A series is a policy (analytic, simulate, and per lambda
-    under a poisson sweep) or a bound kind.  The commands write each sweep
-    point's rows together, series by series; a poisson table with no sweep
-    writes each policy's lambdas together."""
-    if x == "lambda":
-        size = len(cfg.lambdas)
-        spans = [(first, 1, first + size - 1) for first in range(0, len(rows), size)]
-    else:
-        size = len(rows) // len(cfg.sweep_values)
-        spans = [(first, size, len(rows) - size + first) for first in range(size)]
-    out = []
-    for first, stride, last in spans:
-        row = rows[first]
-        if command == "analytic":  # the row's policy column names the best partition found
-            title = (cfg.policies_raw or _ANALYTIC_DEFAULT)[first]
-        elif command == "bound":
-            title = row["kind"]
-            # the kinds that apply can change along the sweep
-            if size * len(cfg.sweep_values) != len(rows) or any(
-                r["kind"] != title for r in rows[first : last + 1 : stride]
-            ):
-                raise ConfigError("--gnuplot needs the same bound kinds at every sweep point")
-        else:
-            title = f"{row['policy']}:{row['params']}" if row["params"] else row["policy"]
-            if x != "lambda" and cfg.mode == "poisson":
-                title += f" lambda={row['lambda']}"
-        out.append((title, first, stride, last))
-    return out
+    last row), titled by the series' first row.  Each line needs one row
+    per x value, evenly spaced: per sweep point, or per lambda of a poisson
+    table with no sweep."""
+    n = len(cfg.sweep_values) if cfg.sweep_name else len(cfg.lambdas)
+    stride = len(table) // n if cfg.sweep_name else 1
+    series = {}
+    for i, (key, title, _) in enumerate(table):
+        series.setdefault(key, (title, []))[1].append(i)
+    lines = []
+    for title, rows in series.values():
+        # the bound kinds that apply can change along the sweep
+        if rows != list(range(rows[0], rows[0] + n * stride, stride)):
+            raise ConfigError(
+                "--gnuplot needs one row per x value in each line:"
+                " the same bound kinds at every sweep point"
+            )
+        lines.append((title, rows[0], stride, rows[-1]))
+    return lines
 
 
 if __name__ == "__main__":

@@ -126,7 +126,25 @@ class TestAnalyticCommand:
     def test_policy_with_an_unknown_argument_is_an_error_row(self, tmp_path, spec):
         code, rows, _ = run_cli(tmp_path, ["analytic"], EXAMPLE1.replace("norep; fullrep", spec))
         assert code == 0
-        assert rows[0]["throughput"] == "" and repr(spec) in rows[0]["error"]
+        arg = spec.split(":")[1]
+        assert rows[0]["throughput"] == ""
+        assert rows[0]["error"] == f"unknown argument {arg!r} in policy literal {spec!r}"
+
+    def test_policy_heads_are_case_insensitive(self, tmp_path):
+        # as in simulate, which reads the same literals with parse_policy
+        tables = []
+        for line in ("NoRep; FULLREP; Best-Partition", "norep; fullrep; best-partition"):
+            code, rows, _ = run_cli(tmp_path, ["analytic"], EXAMPLE1.replace("norep; fullrep", line))
+            assert code == 0
+            tables.append([{k: v for k, v in r.items() if k != "config"} for r in rows])
+        assert tables[0] == tables[1]
+        assert [r["error"] for r in tables[0]] == ["", "", ""]
+
+    def test_a_sweep_may_share_a_name_with_a_column_of_another_table(self, tmp_path):
+        # simulate has a seed column, analytic has none
+        code, rows, _ = run_cli(tmp_path, ["analytic"], EXAMPLE1 + "sweep = seed: 1, 2\n")
+        assert code == 0
+        assert [r["seed"] for r in rows] == ["1.0", "1.0", "2.0", "2.0"]
 
     @pytest.mark.parametrize(
         "servers",
@@ -369,6 +387,30 @@ class TestBoundCommand:
         assert exc.value.code == 2
 
 
+class TestSweepNames:
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            ("simulate", "seed"),
+            ("simulate", "lambda"),
+            ("analytic", "policy"),
+            ("bound", "kind"),
+            ("mdp", "state"),
+            ("analytic", "config"),
+            ("mdp", "version"),
+        ],
+    )
+    def test_sweep_named_after_a_column_exits_two(self, tmp_path, capsys, command, name):
+        # the sweep value and the column would share one cell of every row
+        trace = tmp_path / "trace.csv"
+        args = [command, "--trace", str(trace)] if command == "simulate" else [command]
+        text = EXAMPLE1 + f"sweep = {name}: 1, 2\njobs = 50\n"
+        code, rows, out = run_cli(tmp_path, args, text)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error:") and repr(name) in err
+        assert not out.exists() and not trace.exists()
+
+
 class TestMdpCommand:
     def test_gain_and_policy_rows(self, tmp_path):
         text = "servers = det(2), finite([(1,0.9),(20,0.1)])\ndelta = 0\n"
@@ -405,6 +447,14 @@ class TestMdpCommand:
         code, rows, _ = run_cli(tmp_path, ["mdp"], f"servers = {servers}\n")
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error: decision process needs")
+
+    def test_sweep_rows_carry_the_sweep_column(self, tmp_path):
+        text = "servers = det(2), finite([(1,1-$p),(20,$p)])\nsweep = p: 0.1, 0.2\n"
+        code, rows, out = run_cli(tmp_path, ["mdp"], text)
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "config,version,p,item,state,action,value"
+        assert [r["p"] for r in rows if r["item"] == "gain"] == ["0.1", "0.2"]
+        assert {r["p"] for r in rows if r["item"] == "policy"} == {"0.1", "0.2"}
 
     def test_lattice_states_print_times(self, tmp_path):
         # the kernel counts ticks of 0.1; its state strings print times
@@ -659,6 +709,61 @@ class TestShippedExperiments:
             assert (x, y) == ("lambda", "mean_response")
             assert [r["lambda"] for r in rows] == ["0.1", "0.3", "0.5"]
             assert {r["policy"] for r in rows} == {title.split(":")[0]}
+
+    def test_gnuplot_plots_a_poisson_sweep_per_policy_and_lambda(self, tmp_path):
+        text = "\n".join(
+            [
+                "servers = det(2), finite([(1,1-$p),(20,$p)])",
+                "policies = norep; fullrep",
+                "mode = poisson",
+                "lambdas = 0.1, 0.3",
+                "jobs = 50",
+                "runs = 2",
+                "sweep = p: 0.1, 0.2",
+            ]
+        )
+        cfg, out, plot = tmp_path / "p.cfg", tmp_path / "p.csv", tmp_path / "p.gp"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)]) == 0
+        lines = self._plotted(plot.read_text(), out.read_text())
+        assert [title for _, _, title, _ in lines] == [
+            f"{policy} lambda={lam}" for policy in ("norep", "fullrep") for lam in ("0.1", "0.3")
+        ]
+        for x, y, title, rows in lines:
+            policy, lam = title.split(" lambda=")
+            assert (x, y) == ("p", "mean_response")
+            assert [r["p"] for r in rows] == ["0.1", "0.2"]
+            assert {(r["policy"], r["lambda"]) for r in rows} == {(policy, lam)}
+
+    @pytest.mark.parametrize(
+        "command,name,plots",
+        [
+            (
+                "analytic",
+                "example1_analytic.cfg",
+                "plot 'OUT' every 3::0::27 using 'p':'throughput' with linespoints title 'norep', \\\n"
+                "     'OUT' every 3::1::28 using 'p':'throughput' with linespoints title 'fullrep', \\\n"
+                "     'OUT' every 3::2::29 using 'p':'throughput' with linespoints"
+                " title 'best-partition'\n",
+            ),
+            (
+                "bound",
+                "bound_p_sweep.cfg",
+                "plot 'OUT' every 1::0::9 using 'p':'bound' with linespoints title 'pause'\n",
+            ),
+        ],
+        ids=["analytic", "bound"],
+    )
+    def test_gnuplot_script_text(self, tmp_path, command, name, plots):
+        cfg = pathlib.Path(__file__).parent.parent / "experiments" / name
+        out, plot = tmp_path / "out.csv", tmp_path / "plot.gp"
+        code = main([command, "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
+        assert code == 0
+        y = "bound" if command == "bound" else "throughput"
+        assert plot.read_text().replace(str(out), "OUT") == (
+            "set datafile separator ','\n"
+            f"set xlabel 'p'\nset ylabel '{y}'\nset key outside\n" + plots
+        )
 
     def test_gnuplot_plots_a_simulated_sweep_per_policy(self, tmp_path):
         cfg = pathlib.Path(__file__).parent.parent / "experiments" / "maxrate_p_sweep.cfg"
