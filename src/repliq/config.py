@@ -110,6 +110,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     values = {}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,7 +121,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip().lower()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
         values[key] = val.strip()
+        first_line[key] = lineno
 
     if "servers" not in values:
         raise ConfigError("config must define servers")
@@ -158,6 +162,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if not vals:
             raise ConfigError("sweep must look like 'name: v1, v2' or 'name: a:b:step'")
         cfg.sweep_name = name.strip()
+        if not cfg.sweep_name:
+            raise ConfigError(f"sweep {values['sweep']!r} has no name")
         cfg.sweep_values = tuple(_parse_number_list(vals))
         if not cfg.sweep_values:
             raise ConfigError(f"sweep {values['sweep']!r} has no values")

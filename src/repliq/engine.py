@@ -19,11 +19,19 @@ does nothing, but it still ends a timestamp, so idle servers are offered
 again then.  No server is offered while none is idle, so a timestamp that
 leaves every server busy or cancelling costs no scan.
 
-A policy whose ``reads_jobs`` is False (NoRep, FullRep, UpfrontRep) sees
-no job views and no cancelling servers.  Its answer is fixed by the
-offered server, the status of every server and whether a job is queued,
-so each run keeps a table from that key to the answer and asks the policy
-only on a miss.  A job with one copy frees its server as it departs.
+Each run keeps one table of answers to time-free offers and asks the
+policy only on a miss.  A policy whose ``reads_jobs`` is False (NoRep,
+FullRep, UpfrontRep) sees no job views and no cancelling servers, so its
+every offer is time-free, keyed by the offered server, the status of
+every server and whether a job is queued.  For any other policy an offer
+is time-free when every job in flight started at this instant and no
+server is cancelling, so every elapsed time is exactly 0.0: the offers of
+a scan that began with every server idle.  Its key adds the servers of
+each running job in start order (the first is the job's origin), and the
+table keeps each job target of the answer as the job's position in start
+order, which the policy contract allows (see policies.Policy).  Every
+other offer builds its observation and asks the policy.  A job with one
+copy frees its server as it departs.
 
 A saturated run whose laws are atomic on a lattice of step g
 (distributions._lattice_step) that is no binary fraction, such as 0.1,
@@ -157,8 +165,8 @@ class _Sim:
         self.k = config.k
         self.delta = config.delta
         self.policy = policy
-        # offer -> answer of a policy that reads no job views; None otherwise
-        self.table = None if policy.reads_jobs else {}
+        self.reads = policy.reads_jobs
+        self.table = {}  # time-free offer -> entry; see the module docstring and _entry
         self.trace = trace
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(self.k + 1)]
         self.draws = [_blocks(partial(d.sample_array, rng)) for d, rng in zip(self.dists, rngs)]
@@ -205,7 +213,7 @@ class _Sim:
         # __new__, which costs more than the tuple itself on this path
         if self.snapshot is None:
             views = []
-            for job in self.jobs.values() if self.table is None else ():
+            for job in self.jobs.values() if self.reads else ():
                 starts = job.starts
                 if len(starts) == 1:
                     elapsed = (now - starts[0],)
@@ -217,7 +225,7 @@ class _Sim:
             status = self.status
             idle = tuple([i for i in range(self.k) if status[i] == _IDLE])
             cancelling = ()
-            if self.delta > 0 and self.table is None:
+            if self.delta > 0 and self.reads:
                 cancelling = tuple(
                     [(i, self.cancel_until[i] - now) for i in range(self.k) if status[i] == _CANCEL]
                 )
@@ -231,6 +239,10 @@ class _Sim:
         self.snapshot = None
         status = self.status
         table = self.table
+        jobs = self.jobs
+        reads = self.reads
+        # launches keep a scan's offers time-free; see the module docstring
+        time_free = not reads or self.n_idle == self.k
         acted = True
         while acted and self.n_idle:
             acted = False
@@ -238,20 +250,42 @@ class _Sim:
                 if status[s] != _IDLE:
                     continue
                 can_new = self.arrivals is None or self.started < len(self.arrivals)
-                if not can_new and not self.jobs:
+                if not can_new and not jobs:
                     return
-                if table is None:
+                if not time_free:
                     dec = self.policy.decide(self._observation(s, now, can_new))
-                else:  # the offer is all such a policy reads; see the module docstring
-                    key = (s, tuple(status), can_new)
-                    dec = table.get(key)
-                    if dec is None:
-                        if len(table) >= _TABLE_SIZE:
-                            table.clear()
-                        dec = table[key] = self.policy.decide(self._observation(s, now, can_new))
+                else:
+                    running = reads and tuple([job.servers for job in jobs.values()])
+                    key = (s, tuple(status), can_new, running)
+                    entry = table.get(key)
+                    if entry is None:
+                        dec = self.policy.decide(self._observation(s, now, can_new))
+                        entry = self._entry(dec)
+                        if entry is not None:
+                            if len(table) >= _TABLE_SIZE:
+                                table.clear()
+                            table[key] = entry
+                    else:
+                        dec, plan = entry
+                        if dec is None:
+                            ids = list(jobs)
+                            plan = tuple([(g, t if t == "new" else ids[t]) for g, t in plan])
+                            dec = tuple.__new__(Decision, ("plan", plan))
                 if dec.kind != "wait":
                     self._apply(dec, s, now)
                     acted = True
+
+    def _entry(self, dec):
+        """The table's entry for dec: (dec, None) when it names no job, else
+        (None, its plan with each job target as the job's position in start
+        order); None when a target is no running job, which _apply refuses."""
+        if dec.kind != "plan" or all(target == "new" for _, target in dec.plan):
+            return dec, None
+        plan = dec.plan
+        ids = list(self.jobs)
+        if not all(target == "new" or target in ids for _, target in plan):
+            return None
+        return None, tuple([(g, t if t == "new" else ids.index(t)) for g, t in plan])
 
     def _apply(self, dec: Decision, offered, now):
         if dec.kind != "plan":

@@ -13,7 +13,8 @@ next queued job on the group; a job id adds replicas of that running job
 on it.  A plan must place the offered server.  NoRep, FullRep, UpfrontRep,
 MaxRate and AdaRep return one-group plans; a solved MDP policy
 (TabularPolicy) may refill several groups at once.  All policies are
-immutable and decide() is a pure function of the observation.
+immutable, and decide() is a pure function of the observation that reads
+job ids only as labels (see Policy).
 """
 
 import re
@@ -69,12 +70,19 @@ WAIT = Decision("wait")
 class Policy:
     """Base of every decision rule.
 
+    decide() must be pure and read job ids only as labels: relabelling
+    the ids of the jobs, keeping their start order, relabels the job
+    targets of the answer alike (AdaRep's tie-break on the lowest id
+    follows start order).  The simulator reuses one answer for every
+    equal offer within a run whose jobs all started at that instant, with
+    no server cancelling (see repliq.engine).
+
     reads_jobs: whether decide() reads the time-dependent part of the
     observation, the job views and the cancelling servers.  A subclass
     sets it False only if its answer depends on nothing else than the
     offered server, the idle servers, can_new, the laws and the delay;
     the simulator then passes both empty and reuses one answer for every
-    equal offer within a run, so decide() must be pure.
+    equal offer within a run.
     """
 
     name = "policy"

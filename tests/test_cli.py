@@ -147,6 +147,20 @@ class TestAnalyticCommand:
         assert [r["seed"] for r in rows] == ["1.0", "1.0", "2.0", "2.0"]
 
     @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("sweep = : 0.1, 0.2\n", "sweep ': 0.1, 0.2' has no name"),
+            ("Delta = 0.5\n", "line 5: key 'delta' repeats line 3"),
+            ("servers = det(1)\n", "line 5: key 'servers' repeats line 2"),
+        ],
+        ids=["unnamed-sweep", "repeated-key", "repeated-servers"],
+    )
+    def test_config_that_says_two_things_exits_two(self, tmp_path, capsys, extra, message):
+        code, rows, out = run_cli(tmp_path, ["analytic"], EXAMPLE1 + extra)
+        assert code == 2 and rows == [] and not out.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize(
         "servers",
         ["det(0), det(2)", "finite([(0,1)]), det(2)", "det(2), finite([(0,1-$p),($p,$p)])"],
     )

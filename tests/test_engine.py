@@ -351,25 +351,37 @@ class TestDepartureEvents:
 
 
 class TestDecisionTable:
-    """A policy that reads no job views is asked once per distinct offer
-    (server, status of every server, can_new) of a run; the others at
-    every offer.  Counts and throughputs recorded before the table."""
+    """Every policy is asked once per distinct time-free offer of a run and
+    at every other offer.  An offer is time-free when every job in flight
+    started at this instant and no server is cancelling; every offer of a
+    policy that reads no job views is.  The key of a time-free offer is the
+    server, the status of every server, can_new and the servers of each
+    running job.  The throughputs and the response time were recorded
+    while a policy that reads jobs was asked at every offer."""
 
     CONFIG = SystemConfig((HyperExp(0.6, 0.2, 0.4),) * 6, 0.1)  # homog_k6's laws
     HALVES = Partition((frozenset({0, 1, 2}), frozenset({3, 4, 5})))
 
-    def _asked(self, base, *args):
-        """The offer of every decide call of a 15,000-job run, and its throughput."""
+    def _asked(self, base, *args, config=CONFIG, seed=7, lam=0.0, n_jobs=15000):
+        """The keys of the time-free offers and of the other offers of every
+        decide call of a run, and the observations of the other offers."""
 
         class Counted(base):
             def decide(self, obs):
-                offers.append((obs.server, tuple(sim.status), obs.can_new))
+                running = tuple(jv.servers for jv in obs.jobs)
+                key = (obs.server, tuple(sim.status), obs.can_new, running)
+                elapsed = [e for jv in obs.jobs for e in jv.elapsed]
+                if obs.cancelling or any(elapsed):
+                    other.append(key)
+                    seen.append(obs)
+                else:
+                    free.append(key)
                 return super().decide(obs)
 
-        offers = []
-        sim = engine._Sim(self.CONFIG, Counted(*args), 7)
-        sim.run(15000)
-        return offers, run_saturated(self.CONFIG, base(*args), 15000, 7).throughput
+        free, other, seen = [], [], []
+        sim = engine._Sim(config, Counted(*args), seed, lam)
+        sim.run(n_jobs)
+        return free, other, seen
 
     @pytest.mark.parametrize(
         "base,args,calls,throughput",
@@ -381,33 +393,55 @@ class TestDecisionTable:
         ids=["norep", "fullrep", "upfront"],
     )
     def test_static_policy_is_asked_once_per_offer(self, base, args, calls, throughput):
-        offers, got = self._asked(base, *args)
-        assert len(offers) == len(set(offers)) == calls
-        assert got == throughput
+        free, other, _ = self._asked(base, *args)
+        assert len(free) == len(set(free)) == calls and not other
+        assert run_saturated(self.CONFIG, base(*args), 15000, 7).throughput == throughput
 
-        class Asked(base):  # asked at every offer
+        class Asked(base):  # its offers are time-free only in a scan that began all idle
             reads_jobs = True
 
         assert run_saturated(self.CONFIG, Asked(*args), 15000, 7).throughput == throughput
 
     def test_full_table_starts_afresh(self, monkeypatch):
         monkeypatch.setattr(engine, "_TABLE_SIZE", 2)
-        offers, got = self._asked(UpfrontRep, self.HALVES)
-        assert len(offers) > 5 and got == 2.1765007221384494
+        free, _, _ = self._asked(UpfrontRep, self.HALVES)
+        assert len(free) > 5
+        got = run_saturated(self.CONFIG, UpfrontRep(self.HALVES), 15000, 7).throughput
+        assert got == 2.1765007221384494
 
     @pytest.mark.parametrize(
         "base,args,calls,throughput",
         [
-            (_CopyOnNew, (), 15005, 2.046409310646111),
-            (AdaRep, ((), (0.5, 1, 1.5, 2, 3)), 34969, 2.2479924961447297),
-            (MaxRate, (), 49385, 2.1774202288674562),
+            (_CopyOnNew, (), (6, 14999), 2.046409310646111),
+            (AdaRep, ((), (0.5, 1, 1.5, 2, 3)), (6, 31417), 2.2479924961447297),
+            (MaxRate, (), (6, 49379), 2.1774202288674562),
         ],
         ids=["user", "adarep-hom", "maxrate"],
     )
-    def test_policy_that_reads_jobs_is_asked_at_every_offer(self, base, args, calls, throughput):
-        offers, got = self._asked(base, *args)
-        assert len(offers) == calls
-        assert got == throughput
+    def test_policy_that_reads_jobs_is_asked_once_per_time_free_offer(
+        self, base, args, calls, throughput
+    ):
+        free, other, _ = self._asked(base, *args)
+        assert (len(free), len(other)) == calls and len(set(free)) == len(free)
+        assert run_saturated(self.CONFIG, base(*args), 15000, 7).throughput == throughput
+
+    def test_poisson_maxrate_on_the_worked_example(self):
+        # every offer finds each job just started: 3 calls in place of 4000
+        free, other, _ = self._asked(MaxRate, config=EXAMPLE, seed=[7, 0], lam=0.5, n_jobs=2000)
+        assert len(free) == len(set(free)) == 3 and not other
+        assert engine._poisson_run(EXAMPLE, MaxRate(), 0.5, 2000, 7, 0)[0] == 1.76343092071912
+
+    def test_cancelling_server_makes_an_offer_not_time_free(self):
+        # a server offered while the others cancel sees no job, but the
+        # remaining windows differ from offer to offer, so each one is asked
+        config = SystemConfig(EXAMPLE.servers + EXAMPLE.servers[1:], 0.5)
+        free, other, seen = self._asked(AdaRep, (), (1.0, INF), config=config, n_jobs=5000)
+        assert len(free) == len(set(free)) == 3 and len(other) == 5114
+        no_jobs = [key for key, obs in zip(other, seen) if not obs.jobs]
+        assert all(obs.cancelling for obs in seen if not obs.jobs)
+        assert len(no_jobs) == 604 and len(set(no_jobs)) == 3
+        got = run_saturated(config, AdaRep((), (1.0, INF)), 5000, 7).throughput
+        assert got == 1.4560964847771731
 
 
 class TestRandomStreams:
