@@ -19,19 +19,21 @@ does nothing, but it still ends a timestamp, so idle servers are offered
 again then.  No server is offered while none is idle, so a timestamp that
 leaves every server busy or cancelling costs no scan.
 
-Each run keeps one table of answers to time-free offers and asks the
-policy only on a miss.  A policy whose ``reads_jobs`` is False (NoRep,
-FullRep, UpfrontRep) sees no job views and no cancelling servers, so its
-every offer is time-free, keyed by the offered server, the status of
-every server and whether a job is queued.  For any other policy an offer
-is time-free when every job in flight started at this instant and no
-server is cancelling, so every elapsed time is exactly 0.0: the offers of
-a scan that began with every server idle.  Its key adds the servers of
-each running job in start order (the first is the job's origin), and the
-table keeps each job target of the answer as the job's position in start
-order, which the policy contract allows (see policies.Policy).  Every
-other offer builds its observation and asks the policy.  A job with one
-copy frees its server as it departs.
+Each run keeps one table of time-free scans and asks the policy only on
+a miss.  A scan is time-free when each of its offers finds every job in
+flight started at this instant and no server cancelling, so that every
+elapsed time is exactly 0.0.  Every scan of a policy whose ``reads_jobs``
+is False (NoRep, FullRep, UpfrontRep) is, as it sees no job views and no
+cancelling servers; for any other policy, a scan that begins with every
+server idle.  Such a scan follows from the status of every server and
+the number of queued jobs, at most one per idle server, as it begins.
+The table keys it by them and keeps the scan's launches, each a sorted
+server group and "new" or the target job's position among the jobs the
+scan started, which the policy contract allows (see policies.Policy).  A
+miss asks the policy at each offer and checks every answer; a hit
+replays the launches.  Every other scan builds the observation of each
+offer and asks the policy.  A job with one copy frees its server as it
+departs.
 
 A saturated run whose laws are atomic on a lattice of step g
 (distributions._lattice_step) that is no binary fraction, such as 0.1,
@@ -74,7 +76,7 @@ _WARMUP_FRACTION = 0.01
 _N_BATCHES = 20
 _UNSTABLE_QUEUE_FACTOR = 10.0
 _BLOCK = 256
-_TABLE_SIZE = 1 << 14  # offers a _Sim remembers before it starts afresh
+_TABLE_SIZE = 1 << 14  # time-free scans a _Sim remembers before it starts afresh
 # run_poisson's worker count; None means one per CPU in the affinity set
 _WORKERS = None
 
@@ -166,7 +168,7 @@ class _Sim:
         self.delta = config.delta
         self.policy = policy
         self.reads = policy.reads_jobs
-        self.table = {}  # time-free offer -> entry; see the module docstring and _entry
+        self.table = {}  # time-free scan -> its launches; see the module docstring
         self.trace = trace
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(self.k + 1)]
         self.draws = [_blocks(partial(d.sample_array, rng)) for d, rng in zip(self.dists, rngs)]
@@ -238,11 +240,19 @@ class _Sim:
     def _scan(self, now):
         self.snapshot = None
         status = self.status
-        table = self.table
         jobs = self.jobs
-        reads = self.reads
-        # launches keep a scan's offers time-free; see the module docstring
-        time_free = not reads or self.n_idle == self.k
+        started = self.started
+        key = launches = None
+        if not self.reads or self.n_idle == self.k:  # time-free; see the module docstring
+            queued = self.k if self.arrivals is None else min(len(self.arrivals) - started, self.n_idle)
+            key = (tuple(status), queued)
+            launches = self.table.get(key)
+            if launches is not None:
+                for group, target in launches:
+                    job = self._start(group[0], now) if target == "new" else jobs[started + target]
+                    self._launch(job, group, now)
+                return
+            launches = []
         acted = True
         while acted and self.n_idle:
             acted = False
@@ -250,48 +260,37 @@ class _Sim:
                 if status[s] != _IDLE:
                     continue
                 can_new = self.arrivals is None or self.started < len(self.arrivals)
-                if not can_new and not jobs:
-                    return
-                if not time_free:
-                    dec = self.policy.decide(self._observation(s, now, can_new))
-                else:
-                    running = reads and tuple([job.servers for job in jobs.values()])
-                    key = (s, tuple(status), can_new, running)
-                    entry = table.get(key)
-                    if entry is None:
-                        dec = self.policy.decide(self._observation(s, now, can_new))
-                        entry = self._entry(dec)
-                        if entry is not None:
-                            if len(table) >= _TABLE_SIZE:
-                                table.clear()
-                            table[key] = entry
-                    else:
-                        dec, plan = entry
-                        if dec is None:
-                            ids = list(jobs)
-                            plan = tuple([(g, t if t == "new" else ids[t]) for g, t in plan])
-                            dec = tuple.__new__(Decision, ("plan", plan))
+                if not can_new and not jobs:  # nothing to start or replicate
+                    break  # and nothing launched in this pass, so acted is False
+                dec = self.policy.decide(self._observation(s, now, can_new))
+                if not isinstance(dec, Decision):
+                    raise PolicyError(f"decide answered {dec!r}, which is no Decision")
                 if dec.kind != "wait":
-                    self._apply(dec, s, now)
+                    self._apply(dec, s, now, launches, started)
                     acted = True
+        # a job started before the scan has no position in it: such a scan,
+        # of a policy that reads no jobs yet names one, is not kept
+        if key is not None and all(t == "new" or t >= 0 for _, t in launches):
+            if len(self.table) >= _TABLE_SIZE:
+                self.table.clear()
+            self.table[key] = launches
 
-    def _entry(self, dec):
-        """The table's entry for dec: (dec, None) when it names no job, else
-        (None, its plan with each job target as the job's position in start
-        order); None when a target is no running job, which _apply refuses."""
-        if dec.kind != "plan" or all(target == "new" for _, target in dec.plan):
-            return dec, None
-        plan = dec.plan
-        ids = list(self.jobs)
-        if not all(target == "new" or target in ids for _, target in plan):
-            return None
-        return None, tuple([(g, t if t == "new" else ids.index(t)) for g, t in plan])
-
-    def _apply(self, dec: Decision, offered, now):
+    def _apply(self, dec: Decision, offered, now, launches, started):
+        """Launch dec's plan at the offer of server offered.  Each launch is
+        appended to launches, unless None, as its group and "new" or the
+        target's position among the jobs started from job id started on."""
         if dec.kind != "plan":
             raise PolicyError(f"unknown decision kind {dec.kind!r}")
+        try:
+            pairs = iter(dec.plan)
+        except TypeError:
+            raise PolicyError(f"plan {dec.plan!r} is no sequence of (group, target) pairs") from None
         placed = False
-        for group, target in dec.plan:
+        for pair in pairs:
+            try:
+                group, target = pair
+            except (TypeError, ValueError):
+                raise PolicyError(f"plan item {pair!r} is no (group, target) pair") from None
             if type(group) is not tuple or len(group) > 1:
                 try:
                     group = tuple(sorted(group))
@@ -301,24 +300,32 @@ class _Sim:
                 raise PolicyError(f"plan {dec.plan!r} has an empty server group")
             placed = placed or offered in group
             if target == "new":
-                job_id = self.started
-                if self.arrivals is None:
-                    arrival = now
-                elif job_id < len(self.arrivals):
-                    arrival = self.arrivals[job_id]
-                else:
+                if self.arrivals is not None and self.started == len(self.arrivals):
                     raise PolicyError("new-job decision with an empty queue")
-                self.started = job_id + 1
-                job = self.jobs[job_id] = _Job(job_id, arrival, group[0])
+                job = self._start(group[0], now)
             else:
                 # a running job's servers are busy, so _launch refuses them
-                job = self.jobs.get(target)
+                try:
+                    job = self.jobs.get(target)
+                except TypeError:  # unhashable
+                    job = None
                 if job is None:
                     raise PolicyError(f"replication target job {target} has no active copies")
+                target = job.id - started
             self._launch(job, group, now)
+            if launches is not None:
+                launches.append((group, target))
         if not placed:
             # the offered server stays idle and would be offered again forever
             raise PolicyError(f"plan does not place the offered server {offered}")
+
+    def _start(self, origin, now):
+        """Start the next queued job, with origin its first server."""
+        job_id = self.started
+        self.started = job_id + 1
+        arrival = now if self.arrivals is None else self.arrivals[job_id]
+        job = self.jobs[job_id] = _Job(job_id, arrival, origin)
+        return job
 
     def _launch(self, job, group, now):
         """Start a copy of job on each server of group, in order, and push

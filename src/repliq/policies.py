@@ -73,16 +73,17 @@ class Policy:
     decide() must be pure and read job ids only as labels: relabelling
     the ids of the jobs, keeping their start order, relabels the job
     targets of the answer alike (AdaRep's tie-break on the lowest id
-    follows start order).  The simulator reuses one answer for every
-    equal offer within a run whose jobs all started at that instant, with
-    no server cancelling (see repliq.engine).
+    follows start order).  Within a run, the simulator replays the
+    launches of a scan of offers, each finding every job just started and
+    no server cancelling, for every scan that begins as it did (see
+    repliq.engine).
 
     reads_jobs: whether decide() reads the time-dependent part of the
     observation, the job views and the cancelling servers.  A subclass
     sets it False only if its answer depends on nothing else than the
     offered server, the idle servers, can_new, the laws and the delay;
-    the simulator then passes both empty and reuses one answer for every
-    equal offer within a run.
+    the simulator then passes both empty and replays the launches of a
+    scan for every scan within a run that begins as it did.
     """
 
     name = "policy"

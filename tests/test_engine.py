@@ -351,12 +351,13 @@ class TestDepartureEvents:
 
 
 class TestDecisionTable:
-    """Every policy is asked once per distinct time-free offer of a run and
-    at every other offer.  An offer is time-free when every job in flight
-    started at this instant and no server is cancelling; every offer of a
-    policy that reads no job views is.  The key of a time-free offer is the
-    server, the status of every server, can_new and the servers of each
-    running job.  The throughputs and the response time were recorded
+    """Every policy is asked at each offer of each distinct time-free scan
+    of a run and at every other offer.  A scan is time-free when every
+    offer in it finds every job in flight started at this instant and no
+    server cancelling: every scan of a policy that reads no job views, and
+    a scan that begins with every server idle.  Its key is the status of
+    every server and the queued jobs, at most one per idle server, as the
+    scan begins.  The throughputs and the response time were recorded
     while a policy that reads jobs was asked at every offer."""
 
     CONFIG = SystemConfig((HyperExp(0.6, 0.2, 0.4),) * 6, 0.1)  # homog_k6's laws
@@ -364,7 +365,8 @@ class TestDecisionTable:
 
     def _asked(self, base, *args, config=CONFIG, seed=7, lam=0.0, n_jobs=15000):
         """The keys of the time-free offers and of the other offers of every
-        decide call of a run, and the observations of the other offers."""
+        decide call of a run, and the observations of the other offers.  A
+        time-free offer's key adds its scan's key to the offer's."""
 
         class Counted(base):
             def decide(self, obs):
@@ -375,20 +377,27 @@ class TestDecisionTable:
                     other.append(key)
                     seen.append(obs)
                 else:
-                    free.append(key)
+                    free.append((scan, key))
                 return super().decide(obs)
 
-        free, other, seen = [], [], []
+        def counted_scan(now):
+            nonlocal scan
+            queued = len(sim.arrivals) - sim.started if lam else config.k
+            scan = (tuple(sim.status), min(queued, sim.status.count(engine._IDLE)))
+            engine._Sim._scan(sim, now)
+
+        free, other, seen, scan = [], [], [], None
         sim = engine._Sim(config, Counted(*args), seed, lam)
+        sim._scan = counted_scan
         sim.run(n_jobs)
         return free, other, seen
 
     @pytest.mark.parametrize(
         "base,args,calls,throughput",
         [
-            (NoRep, (), 11, 2.046409310646111),
+            (NoRep, (), 12, 2.046409310646111),
             (FullRep, (), 1, 2.0511606043245862),
-            (UpfrontRep, (HALVES,), 5, 2.1765007221384494),
+            (UpfrontRep, (HALVES,), 6, 2.1765007221384494),
         ],
         ids=["norep", "fullrep", "upfront"],
     )
@@ -405,7 +414,7 @@ class TestDecisionTable:
     def test_full_table_starts_afresh(self, monkeypatch):
         monkeypatch.setattr(engine, "_TABLE_SIZE", 2)
         free, _, _ = self._asked(UpfrontRep, self.HALVES)
-        assert len(free) > 5
+        assert len(free) > len(set(free)) == 6  # two scans kept of six
         got = run_saturated(self.CONFIG, UpfrontRep(self.HALVES), 15000, 7).throughput
         assert got == 2.1765007221384494
 
@@ -426,9 +435,10 @@ class TestDecisionTable:
         assert run_saturated(self.CONFIG, base(*args), 15000, 7).throughput == throughput
 
     def test_poisson_maxrate_on_the_worked_example(self):
-        # every offer finds each job just started: 3 calls in place of 4000
+        # every offer finds each job just started, and every scan begins
+        # with one or two jobs queued: 4 calls in place of 4000
         free, other, _ = self._asked(MaxRate, config=EXAMPLE, seed=[7, 0], lam=0.5, n_jobs=2000)
-        assert len(free) == len(set(free)) == 3 and not other
+        assert len(free) == len(set(free)) == 4 and not other
         assert engine._poisson_run(EXAMPLE, MaxRate(), 0.5, 2000, 7, 0)[0] == 1.76343092071912
 
     def test_cancelling_server_makes_an_offer_not_time_free(self):
@@ -610,9 +620,45 @@ class TestPolicyErrors:
         with pytest.raises(PolicyError, match=re.escape(message)):
             run_saturated(config, _FixedPlan(plan), 100, seed=0)
 
+    @pytest.mark.parametrize(
+        "answer,message",
+        [
+            (None, "decide answered None, which is no Decision"),
+            (("plan", (((0,), "new"),)), "which is no Decision"),
+            (Decision("plan", (((0,), "new", 3),)), "item ((0,), 'new', 3) is no (group, target) pair"),
+            (Decision("plan", ((0,),)), "item (0,) is no (group, target) pair"),
+            (Decision("plan", 0), "plan 0 is no sequence"),
+            (Decision("plan", (((0,), [1]),)), "target job [1] has no active copies"),
+        ],
+        ids=["none", "plain-tuple", "triple", "single", "not-a-sequence", "unhashable-target"],
+    )
+    def test_malformed_answer(self, answer, message):
+        class Answers(Policy):
+            def decide(self, obs):
+                return answer
+
+        with pytest.raises(PolicyError, match=re.escape(message)):
+            run_saturated(EXAMPLE, Answers(), 100, seed=0)
+
     def test_replicating_missing_job(self):
         with pytest.raises(PolicyError):
             run_saturated(EXAMPLE, _BrokenReplicator(), 100, seed=0)
+
+    def test_policy_that_reads_no_jobs_but_names_one(self):
+        # a job started before a scan has no position in it, so a scan that
+        # names one is not kept: the policy is asked again, and job 1 is
+        # missed once it has departed
+        class Names(Policy):
+            reads_jobs = False
+
+            def decide(self, obs):
+                if obs.server == 0 and obs.idle_servers == (0,):
+                    return Decision("plan", (((0,), 1),))
+                return Decision("plan", (((obs.server,), "new"),))
+
+        config = SystemConfig((Exponential(1.0), Deterministic(7.0), Exponential(1.0)), 0.0)
+        with pytest.raises(PolicyError, match="target job 1 has no active copies"):
+            run_saturated(config, Names(), 300, seed=0)
 
     def test_replicating_onto_busy_server(self):
         config = SystemConfig((Exponential(1.0),) * 3, 0.0)

@@ -13,8 +13,9 @@ itself (starts, departures, cancellation-window ends, arrivals) on the
 cases where replicated copies are cancelled: six servers with a
 cancellation delay, the 0.1 lattice, Poisson arrivals with δ = 1,
 Poisson upfront groups, whose idle servers used to be offered again at
-the ends of cancelled copies, and the solved policy of
-``experiments/mdp_lattice.cfg`` replayed on its 0.1 lattice
+the ends of cancelled copies, Poisson MaxRate and a zero-threshold
+adarep, whose scans are replayed from the run's table, and the solved
+policy of ``experiments/mdp_lattice.cfg`` replayed on its 0.1 lattice
 (``lattice_tabular``).
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites them."""
 
@@ -28,7 +29,7 @@ from repliq.config import parse_config
 from repliq.distributions import parse_distribution
 from repliq.engine import SystemConfig, event_trace
 from repliq.mdp import as_tabular_policy, build_mdp, solve_average_cost
-from repliq.policies import FullRep, parse_policy
+from repliq.policies import FullRep, MaxRate, parse_policy
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -79,6 +80,12 @@ def _trace_cases():
     upfront = parse_policy("upfront:[[1,2],[3]]")
     example3 = example + example[1:]
     cases["example_poisson_upfront"] = (SystemConfig(example3, 0.0), upfront, 0.5, 400.0, 5)
+    # scans answered from the run's table: every MaxRate offer of a Poisson
+    # run, and a zero-threshold adarep that replicates a job started earlier
+    # in the same scan
+    cases["example_poisson_maxrate"] = (SystemConfig(example, 0.0), MaxRate(), 0.5, 400.0, 5)
+    adarep_zero = parse_policy("adarep:{1->2:0, 2->1:0}")
+    cases["example_adarep_zero"] = (SystemConfig(example, 0.0), adarep_zero, 0.0, 400.0, 5)
     # the solved policy of mdp_lattice.cfg: multi-server refill plans, each
     # group's copies snapped to the 0.1 lattice
     system = parse_config((ROOT / "experiments" / "mdp_lattice.cfg").read_text()).materialize_system(None)
