@@ -74,7 +74,6 @@ class HomogeneousReplication:
 
     r_star: int
     bound: float
-    per_job_cost: float
     achievable_exactly: bool
 
 
@@ -87,27 +86,22 @@ def bell_number(k: int) -> int:
 
 
 def iter_partitions(k: int):
-    """All set partitions of range(k) in restricted-growth-string order."""
-    if k == 0:
-        yield Partition(())
-        return
-    rgs = [0] * k
-    while True:
-        groups = {}
-        for server, label in enumerate(rgs):
-            groups.setdefault(label, []).append(server)
-        yield Partition(tuple(frozenset(g) for _, g in sorted(groups.items())))
-        # advance to the next restricted growth string
-        i = k - 1
-        while i > 0:
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for j in range(i + 1, k):
-                    rgs[j] = 0
-                break
-            i -= 1
-        else:
+    """All set partitions of range(k) in restricted-growth-string order:
+    each server joins every open group in turn, then opens a new one."""
+
+    def place(server, groups):
+        if server == k:
+            yield Partition(tuple(frozenset(g) for g in groups))
             return
+        for g in groups:
+            g.append(server)
+            yield from place(server + 1, groups)
+            g.pop()
+        groups.append([server])
+        yield from place(server + 1, groups)
+        groups.pop()
+
+    return place(0, [])
 
 
 def throughput_norep(ds) -> ThroughputReport:
@@ -200,6 +194,5 @@ def best_homogeneous_r(d: ServiceDistribution, delta: float, k: int) -> Homogene
     return HomogeneousReplication(
         r_star=best_r,
         bound=k / best_cost,
-        per_job_cost=best_cost,
         achievable_exactly=(k % best_r == 0),
     )

@@ -42,7 +42,7 @@ from .distributions import (
     _check_delta,
     _golden,
     _lattice_step,
-    _ticks,
+    _snap,
     _time_of,
     min_expectation,
     product_tail_integral,
@@ -220,15 +220,13 @@ def _copies(d, active):
     atoms = d._atoms()
     if atoms is None:
         return [(d, t, 1) for t in active]
-    step = _lattice_step((d,))
-    snap = step is not None and float(step) != step
+    snap = _snap(_lattice_step((d,)))
     comps = []
     for t in active:
-        n = _ticks(t, float(step)) if snap else 0
-        on = snap and _time_of(n, step) == t
+        on = snap is not None and snap(t) == t
         ends = {}
         for v, p in atoms:
-            end = _time_of(n + _ticks(v, float(step)), step) if on else v + t
+            end = snap(v + t) if on else v + t
             ends[end] = min(1.0, ends.get(end, 0.0) + p)  # a law's masses may sum to 1 + 1e-12
         comps.append((FiniteSupport(tuple(ends.items())), 0.0, 1))
     return comps

@@ -169,8 +169,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"sweep {values['sweep']!r} has no values")
     if "out" in values:
         cfg.out = values["out"]
-    if cfg.mode == "poisson" and not cfg.lambdas:
-        raise ConfigError("poisson mode needs a lambdas list")
+    if (cfg.mode == "poisson") != bool(cfg.lambdas):  # lambdas would be ignored
+        raise ConfigError("lambdas need poisson mode" if cfg.lambdas else "poisson mode needs a lambdas list")
     cfg.materialize_system(cfg.sweep_points()[0])  # fail fast on bad literals
     return cfg
 

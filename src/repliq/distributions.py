@@ -25,6 +25,7 @@ everywhere it makes sense.
 import ast
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -595,6 +596,15 @@ def _time_of(ticks, step):
     return int(ticks) * step.numerator / step.denominator
 
 
+def _snap(step):
+    """The function taking a time to the float nearest its multiple of step
+    (a Fraction, from _lattice_step); None for no step or a binary one."""
+    if step is None or float(step) == step:
+        return None
+    g = float(step)
+    return lambda time: _time_of(_ticks(time, g), step)
+
+
 # ---------------------------------------------------------------------------
 # Expectations of minima via the integral of the product of tails.
 
@@ -748,7 +758,13 @@ _CONSTRUCTORS = {
     "shift": lambda c, inner: Shifted(c, inner),
 }
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
 
 
 def parse_distribution(text: str) -> ServiceDistribution:
@@ -798,16 +814,8 @@ def _eval_node(node):
         return INF
     if isinstance(node, (ast.List, ast.Tuple)):
         return [_eval_node(e) for e in node.elts]
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left, right = _eval_node(node.left), _eval_node(node.right)
-        ops = {
-            ast.Add: lambda a, b: a + b,
-            ast.Sub: lambda a, b: a - b,
-            ast.Mult: lambda a, b: a * b,
-            ast.Div: lambda a, b: a / b,
-            ast.Pow: lambda a, b: a**b,
-        }
-        return ops[type(node.op)](left, right)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_eval_node(node.left), _eval_node(node.right))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         v = _eval_node(node.operand)
         return -v if isinstance(node.op, ast.USub) else v

@@ -63,7 +63,7 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import _check_delta, _lattice_step, _ticks, _time_of
+from .distributions import _check_delta, _lattice_step, _snap
 from .errors import PolicyError
 from .policies import Decision, JobView, Observation, Policy, _Laws
 
@@ -128,17 +128,18 @@ class RunResult:
     mode: str
     policy: str
     params: str
-    lam: float
     n_jobs: int
-    n_runs: int
     seed: int
     throughput: float
-    throughput_stderr: float
-    mean_computing: float
-    mean_response: float
-    response_stderr: float
-    unstable: bool
     config_digest: str
+    # each mode's own fields; the other mode leaves them at these defaults
+    lam: float = 0.0
+    n_runs: int = 1
+    throughput_stderr: float = 0.0
+    mean_computing: float = 0.0
+    mean_response: float = 0.0
+    response_stderr: float = 0.0
+    unstable: bool = False
     batches: tuple = ()
     max_idle_gap: float = 0.0
     queue_growth: float = 0.0
@@ -148,14 +149,15 @@ class RunResult:
 
         For a work-conserving policy on a saturated queue the product is k.
         """
-        ratios = [
-            sum_c / dur for (_, dur, sum_c) in self.batches if dur > 0
-        ]
+        ratios = [sum_c / dur for (_, dur, sum_c) in self.batches if dur > 0]
         if not ratios:
             return self.throughput * self.mean_computing, 0.0
-        mean = float(np.mean(ratios))
-        err = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
-        return mean, err
+        return float(np.mean(ratios)), _stderr(ratios)
+
+
+def _stderr(xs):
+    """Standard error of the mean of xs; 0.0 for fewer than two values."""
+    return float(np.std(xs, ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
 
 
 class _Sim:
@@ -195,12 +197,8 @@ class _Sim:
         self.q_mid = 0
         self.q_end = 0
         self.served_at_horizon = 0
-        self.snap = None  # to a non-binary lattice; see the module docstring
-        if self.arrivals is None:
-            step = _lattice_step(self.dists, self.delta)
-            if step is not None and float(step) != step:
-                g = float(step)
-                self.snap = lambda time: _time_of(_ticks(time, g), step)
+        # to a non-binary lattice; see the module docstring
+        self.snap = _snap(_lattice_step(self.dists, self.delta)) if self.arrivals is None else None
 
     # -- event plumbing ------------------------------------------------------
 
@@ -472,24 +470,15 @@ def run_saturated(config: SystemConfig, policy: Policy, n_jobs: int, seed: int) 
     throughput = len(post_t) / span if span > 0 else INF
     mean_c = math.fsum(post_c) / len(post_c)
     batches = _batch_stats(post_t, post_c, t0)
-    rates = [nb / dur for nb, dur, _ in batches if dur > 0]
-    tp_err = (
-        float(np.std(rates, ddof=1) / math.sqrt(len(rates))) if len(rates) > 1 else 0.0
-    )
     return RunResult(
         mode="saturated",
         policy=policy.name,
         params=policy.params_str(),
-        lam=0.0,
         n_jobs=n_jobs,
-        n_runs=1,
         seed=seed,
         throughput=throughput,
-        throughput_stderr=tp_err,
+        throughput_stderr=_stderr([nb / dur for nb, dur, _ in batches if dur > 0]),
         mean_computing=mean_c,
-        mean_response=0.0,
-        response_stderr=0.0,
-        unstable=False,
         config_digest=config.digest(),
         batches=tuple(batches),
         max_idle_gap=sim.max_idle_gap,
@@ -538,18 +527,10 @@ def run_poisson(
         raise ValueError(f"need n_runs >= 1, got {n_runs}")
     rows = _poisson_rows(config, policy, lam, n_jobs, n_runs, seed)
     run_means, growths, q_ends, serveds, throughputs = zip(*rows)
-    mean_resp = float(np.mean(run_means))
-    resp_err = (
-        float(np.std(run_means, ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
-    )
     growth = float(np.mean(growths))
-    growth_err = (
-        float(np.std(growths, ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
-    )
-    k = config.k
     unstable = float(np.mean(q_ends)) > _UNSTABLE_QUEUE_FACTOR * float(
         np.mean(serveds)
-    ) or growth > max(2.0 * k, 3.0 * growth_err)
+    ) or growth > max(2.0 * config.k, 3.0 * _stderr(growths))
     return RunResult(
         mode="poisson",
         policy=policy.name,
@@ -559,10 +540,8 @@ def run_poisson(
         n_runs=n_runs,
         seed=seed,
         throughput=float(np.mean(throughputs)),
-        throughput_stderr=0.0,
-        mean_computing=0.0,
-        mean_response=mean_resp,
-        response_stderr=resp_err,
+        mean_response=float(np.mean(run_means)),
+        response_stderr=_stderr(run_means),
         unstable=bool(unstable),
         config_digest=config.digest(),
         queue_growth=growth,
@@ -666,10 +645,11 @@ def event_trace(
     lam: float = 0.0,
 ):
     """Replay a run up to the time horizon, returning ordered event rows
-    (time, event, job_id, server, detail).  Bit-identical across repeated
-    invocations with the same arguments."""
+    (time, event, job_id, server, detail): the run stops before it pops an
+    event past the horizon.  Bit-identical across repeated invocations with
+    the same arguments."""
     if not 0 <= horizon < INF:  # nan too: the run would go on for 10**9 departures
         raise ValueError(f"need 0 <= horizon < inf, got {horizon}")
     trace = []
     _Sim(config, policy, seed, lam, trace).run(n_jobs=10**9, horizon=horizon)
-    return [row for row in trace if row[0] <= horizon]
+    return trace

@@ -50,7 +50,6 @@ class MdpKernel:
     states: list
     actions: list
     k: int
-    delta: float
     classes: tuple = None  # law classes of the servers; None when all laws differ
     step: object = 1  # time per tick of the states' elapsed and cancel counts (a Fraction)
     plans: dict = None  # action label -> its refill plan; None for "null" and "advance"
@@ -171,9 +170,7 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
             acts.append((label, trans))
         actions.append(acts)
         frontier += 1
-    return MdpKernel(
-        states=states, actions=actions, k=k, delta=delta, classes=classes, step=step, plans=plans
-    )
+    return MdpKernel(states=states, actions=actions, k=k, classes=classes, step=step, plans=plans)
 
 
 def _enumerate_actions(state, k, classes):

@@ -491,7 +491,8 @@ def parse_policy(text: str) -> Policy:
         return AdaRep(thresholds=table)
     if head == "adarep-hom":
         taus = _eval_literal(args, "adarep-hom")
-        if not isinstance(taus, list) or not all(isinstance(t, float) for t in taus):
+        # an empty list would run as AdaRep() with no thresholds at all
+        if not isinstance(taus, list) or not taus or not all(isinstance(t, float) for t in taus):
             raise ValueError(f"adarep-hom thresholds must be [t1,t2,...], got {args!r}")
         return AdaRep(homogeneous=tuple(taus))
     raise ValueError(f"unknown policy literal {text!r}")

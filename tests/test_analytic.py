@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -120,6 +121,23 @@ class TestBellNumbers:
     def test_partitions_are_distinct(self):
         seen = {tuple(sorted(tuple(sorted(g)) for g in p.groups)) for p in iter_partitions(5)}
         assert len(seen) == bell_number(5)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_enumeration_order_is_restricted_growth_strings(self, k):
+        # best_partition keeps the first of tied partitions, so the order
+        # matters: server i's group label is at most one above every label
+        # before it, and the strings come in lexicographic order
+        # (itertools.product's order, over labels 0..i at position i)
+        strings = [
+            s
+            for s in itertools.product(*(range(i + 1) for i in range(k)))
+            if all(s[i] <= max(s[:i], default=-1) + 1 for i in range(k))
+        ]
+        expected = [
+            tuple(frozenset(i for i in range(k) if s[i] == label) for label in range(max(s, default=-1) + 1))
+            for s in strings
+        ]
+        assert [p.groups for p in iter_partitions(k)] == expected
 
 
 class TestBestPartition:

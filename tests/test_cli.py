@@ -68,6 +68,8 @@ class TestConfigParsing:
             "servers = det(2)\nmode = warp\n",
             "servers = det(2)\nwhatever = 1\n",
             "servers = det(2)\nmode = poisson\n",  # poisson without lambdas
+            "servers = det(2)\nlambdas = 0.5\n",  # lambdas without poisson
+            "servers = det(2)\nmode = saturated\nlambdas = 0.5, 1\n",
             "servers = nosuch(1)\n",
             "servers = det(2)\njobs = 0\n",
             "servers = det(2)\nruns = 0\n",
@@ -329,6 +331,19 @@ class TestSimulateCommand:
         code, rows, _ = run_cli(tmp_path, ["simulate", "--jobs", "50"], text)
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_empty_threshold_list_exits_two(self, tmp_path, capsys):
+        # it ran as adarep with params {}
+        text = EXAMPLE1.replace("norep; fullrep", "adarep-hom:[]") + "jobs = 200\n"
+        code, rows, _ = run_cli(tmp_path, ["simulate"], text)
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_lambdas_without_poisson_mode_exits_two(self, tmp_path, capsys):
+        # it ran saturated and wrote lambda=sat rows
+        code, rows, _ = run_cli(tmp_path, ["simulate"], EXAMPLE1 + "lambdas = 0.5\njobs = 200\n")
+        assert code == 2 and rows == []
+        assert capsys.readouterr().err == "config error: lambdas need poisson mode\n"
 
     @pytest.mark.parametrize("spec", ["norep:3", "fullrep:xyz", "maxrate:nodelta2"])
     def test_policy_with_an_unknown_argument_exits_two(self, tmp_path, capsys, spec):

@@ -192,6 +192,21 @@ class TestEventTrace:
         b = event_trace(EXAMPLE, FullRep(), horizon=300.0, seed=22)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "config,policy,lam",
+        [(SystemConfig(LATTICE, 0.1), FullRep(), 0.0), (EXAMPLE, NoRep(), 0.4)],
+        ids=["saturated-lattice", "poisson"],
+    )
+    def test_horizon_on_an_event_time_ends_the_trace_there(self, config, policy, lam):
+        # the run stops before it pops an event past the horizon, so every
+        # row is at or before it and none at it is lost
+        full = event_trace(config, policy, horizon=60.0, seed=3, lam=lam)
+        times = sorted({row[0] for row in full})
+        assert len(times) > 50
+        for t in times[5::9]:
+            rows = event_trace(config, policy, horizon=t, seed=3, lam=lam)
+            assert rows == [row for row in full if row[0] <= t] and rows[-1][0] == t
+
     def test_poisson_trace_has_arrivals(self):
         rows = event_trace(EXAMPLE, NoRep(), horizon=100.0, seed=2, lam=0.4)
         kinds = {ev for _, ev, *_ in rows}

@@ -635,7 +635,6 @@ class TestArraySolver:
             states=["s"],
             actions=[[("a", ((0, 1.0, 1.0, 1),)), ("b", ((0, 1.0, cheaper, 1),))]],
             k=1,
-            delta=0.0,
         )
         solution = solve_average_cost(kernel)
         assert solution.choices == [0] and solution.gain == 1.0
@@ -658,7 +657,6 @@ class TestArraySolver:
             states=["start", "left", "right"],
             actions=[split, *stay],
             k=1,
-            delta=0.0,
         )
         with pytest.raises(MultichainError):
             _verify_unichain(kernel, [0, 0, 0])
@@ -785,7 +783,7 @@ class TestUnichainOracle:
                 actions.append(acts)
                 choices.append(choice)
                 adj.append({t for t, p, _, _ in acts[choice][1] if p > 0})
-            kernel = MdpKernel(states=list(range(n)), actions=actions, k=1, delta=0.0)
+            kernel = MdpKernel(states=list(range(n)), actions=actions, k=1)
             count, steps = closed_classes_reachable(adj, 0)
             assert count >= 1
             if count == 1:

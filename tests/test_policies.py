@@ -541,6 +541,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_policy("adarep:{1-2:1}")
 
+    @pytest.mark.parametrize("text", ["adarep-hom:[]", "adarep-hom: [ ]"])
+    def test_rejects_an_empty_threshold_list(self, text):
+        # it ran as AdaRep() with no thresholds, written as adarep with params {}
+        with pytest.raises(ValueError, match="adarep-hom thresholds"):
+            parse_policy(text)
+
     @pytest.mark.parametrize("text", ["norep:3", "fullrep:xyz", "maxrate:nodelta2", "maxrate:delta"])
     def test_rejects_an_argument_the_policy_does_not_take(self, text):
         # they ran as the plain policy, maxrate with the delay
