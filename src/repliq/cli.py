@@ -11,6 +11,12 @@ digest, version and sweep value in front of every row, so a sweep may not
 share a name with a column.  ``--gnuplot`` draws one line per series key,
 titled by the series' first row.
 
+A command takes a flag for each config key it reads and a run may vary:
+``simulate`` takes ``--seed/--jobs/--runs`` and ``bound`` takes
+``--seed/--paths`` (``_OVERRIDES``).  A flag's value replaces the file's
+and goes through the same checks, so a bad one is a config error, but the
+``config`` column keeps the digest of the file itself.
+
 Every CSV starts with a ``# generated`` timestamp line; everything after
 it is a deterministic function of the config and seed.  Exit codes:
 0 success, 2 config error, 3 numeric error.
@@ -58,6 +64,10 @@ def main(argv=None) -> int:
     return 0
 
 
+# the config keys each command reads that a flag of the same name replaces
+_OVERRIDES = {"simulate": ("seed", "jobs", "runs"), "bound": ("seed", "paths")}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="repliq",
@@ -73,10 +83,8 @@ def _build_parser():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="experiment config path")
         p.add_argument("--out", default="", help="CSV output path (default stdout)")
-        p.add_argument("--seed", type=_seed, default=None)
-        p.add_argument("--jobs", type=_count, default=None)
-        p.add_argument("--runs", type=_count, default=None)
-        p.add_argument("--paths", type=_paths, default=None)
+        for key in _OVERRIDES.get(name, ()):
+            p.add_argument(f"--{key}", help=f"replaces the config's {key}")
         if name != "mdp":  # the policy table has no y column to plot
             p.add_argument("--gnuplot", default="", help="also emit a gnuplot script")
         if name == "simulate":
@@ -90,18 +98,6 @@ def _build_parser():
     return parser
 
 
-def _count(text, least=1):
-    value = int(text)
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-    return value
-
-
-def _paths(text):
-    # a Monte-Carlo standard error needs two sample paths
-    return _count(text, 2)
-
-
 def _horizon(text):
     # event_trace replays a run up to a finite time
     value = float(text)
@@ -110,19 +106,11 @@ def _horizon(text):
     return value
 
 
-def _seed(text):
-    # numpy's SeedSequence takes non-negative integers only
-    return _count(text, 0)
-
-
 def _load_config(args) -> ExperimentConfig:
+    keys = _OVERRIDES.get(args.command, ())
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     with open(args.config, encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    for key in ("seed", "jobs", "runs", "paths"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
+        return parse_config(fh.read(), overrides)
 
 
 _ANALYTIC_DEFAULT = ["norep", "fullrep"]  # the policies of an analytic config that lists none
@@ -211,10 +199,9 @@ def cmd_simulate(cfg: ExperimentConfig, args, point):
     if not policies:
         raise ConfigError("simulate needs a policies list")
     poisson = cfg.mode == "poisson"
-    if getattr(args, "trace", ""):
+    if args.trace and point == cfg.sweep_points()[0]:  # the first run only
         lam = cfg.lambdas[0] if poisson else 0.0
         _write_trace(args.trace, system, policies[0], args.horizon, cfg.seed, lam)
-        args.trace = ""  # first run only
     for i, policy in enumerate(policies):
         for j, lam in enumerate(cfg.lambdas if poisson else [None]):
             if poisson:

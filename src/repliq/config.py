@@ -108,7 +108,10 @@ class ExperimentConfig:
         return system, policies
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides=None) -> ExperimentConfig:
+    """The config of text.  overrides maps a key to a value string that
+    replaces the file's: it is checked as the file's values are, and the
+    digest stays the file's own."""
     values = {}
     first_line = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -132,6 +135,7 @@ def parse_config(text: str) -> ExperimentConfig:
         servers_raw=values["servers"],
         digest=hashlib.sha256(repr(sorted(values.items())).encode()).hexdigest()[:12],
     )
+    values.update(overrides or {})
     if "delta" in values:
         cfg.delta_raw = values["delta"]
     if "policies" in values:
@@ -167,6 +171,8 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.sweep_values = tuple(_parse_number_list(vals))
         if not cfg.sweep_values:
             raise ConfigError(f"sweep {values['sweep']!r} has no values")
+        if any(math.isnan(v) for v in cfg.sweep_values):  # substituted, "nan" is no literal
+            raise ConfigError(f"sweep {values['sweep']!r} has a nan value")
     if "out" in values:
         cfg.out = values["out"]
     if (cfg.mode == "poisson") != bool(cfg.lambdas):  # lambdas would be ignored

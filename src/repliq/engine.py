@@ -104,13 +104,12 @@ class SystemConfig:
 
 
 class _Job:
-    __slots__ = ("id", "arrival", "origin", "servers", "starts", "departed")
+    __slots__ = ("id", "arrival", "servers", "starts", "departed")
 
-    def __init__(self, job_id, arrival, origin):
+    def __init__(self, job_id, arrival):
         self.id = job_id
         self.arrival = arrival
-        self.origin = origin
-        self.servers = ()
+        self.servers = ()  # in launch order; the first is the job's origin
         self.starts = []
         self.departed = False
 
@@ -142,7 +141,6 @@ class RunResult:
     unstable: bool = False
     batches: tuple = ()
     max_idle_gap: float = 0.0
-    queue_growth: float = 0.0
 
     def work_conservation(self, k: int):
         """(throughput x mean computing time, stderr of that product).
@@ -220,7 +218,7 @@ class _Sim:
                 else:
                     elapsed = tuple([now - st for st in starts])
                 views.append(
-                    tuple.__new__(JobView, (job.id, job.origin, job.servers, elapsed, elapsed[0]))
+                    tuple.__new__(JobView, (job.id, job.servers[0], job.servers, elapsed, elapsed[0]))
                 )
             status = self.status
             idle = tuple([i for i in range(self.k) if status[i] == _IDLE])
@@ -247,7 +245,7 @@ class _Sim:
             launches = self.table.get(key)
             if launches is not None:
                 for group, target in launches:
-                    job = self._start(group[0], now) if target == "new" else jobs[started + target]
+                    job = self._start(now) if target == "new" else jobs[started + target]
                     self._launch(job, group, now)
                 return
             launches = []
@@ -300,7 +298,7 @@ class _Sim:
             if target == "new":
                 if self.arrivals is not None and self.started == len(self.arrivals):
                     raise PolicyError("new-job decision with an empty queue")
-                job = self._start(group[0], now)
+                job = self._start(now)
             else:
                 # a running job's servers are busy, so _launch refuses them
                 try:
@@ -317,12 +315,12 @@ class _Sim:
             # the offered server stays idle and would be offered again forever
             raise PolicyError(f"plan does not place the offered server {offered}")
 
-    def _start(self, origin, now):
-        """Start the next queued job, with origin its first server."""
+    def _start(self, now):
+        """Start the next queued job."""
         job_id = self.started
         self.started = job_id + 1
         arrival = now if self.arrivals is None else self.arrivals[job_id]
-        job = self.jobs[job_id] = _Job(job_id, arrival, origin)
+        job = self.jobs[job_id] = _Job(job_id, arrival)
         return job
 
     def _launch(self, job, group, now):
@@ -544,7 +542,6 @@ def run_poisson(
         response_stderr=_stderr(run_means),
         unstable=bool(unstable),
         config_digest=config.digest(),
-        queue_growth=growth,
     )
 
 
@@ -650,6 +647,8 @@ def event_trace(
     the same arguments."""
     if not 0 <= horizon < INF:  # nan too: the run would go on for 10**9 departures
         raise ValueError(f"need 0 <= horizon < inf, got {horizon}")
+    if not 0 <= lam < INF:  # nan or < 0 would run saturated, inf push arrivals at 0 forever
+        raise ValueError(f"need 0 <= lam < inf, got {lam}")
     trace = []
     _Sim(config, policy, seed, lam, trace).run(n_jobs=10**9, horizon=horizon)
     return trace

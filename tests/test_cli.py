@@ -8,8 +8,9 @@ import pytest
 
 from repliq.cli import main
 from repliq.config import parse_config
+from repliq.engine import event_trace
 from repliq.errors import ConfigError
-from repliq.policies import parse_policy
+from repliq.policies import NoRep, parse_policy
 
 EXAMPLE1 = """
 servers = det(2), finite([(1,0.9),(20,0.1)])
@@ -91,6 +92,11 @@ class TestConfigParsing:
     def test_rejects_bad_configs(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_nan_sweep_value_is_rejected(self):
+        # it substitutes as nan, which no literal parses, and equals no point
+        with pytest.raises(ConfigError, match="nan"):
+            parse_config("servers = det(2)\nsweep = p: 0*1e400, 1\n")
 
 
 class TestAnalyticCommand:
@@ -389,10 +395,10 @@ class TestBoundCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ["--jobs", "--runs"])
-    def test_count_override_below_one_exits_two(self, tmp_path, flag):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(tmp_path, ["simulate", flag, "0"], EXAMPLE1)
-        assert exc.value.code == 2
+    def test_count_override_below_one_exits_two(self, tmp_path, capsys, flag):
+        code, rows, out = run_cli(tmp_path, ["simulate", flag, "0"], EXAMPLE1)
+        assert code == 2 and rows == [] and not out.exists()
+        assert capsys.readouterr().err == f"config error: {flag[2:]} must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
         "command,text",
@@ -405,15 +411,67 @@ class TestBoundCommand:
         code, rows, _ = run_cli(tmp_path, [command], text + "seed = -1\n")
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
-        with pytest.raises(SystemExit) as exc:
-            run_cli(tmp_path, [command, "--seed", "-1"], text)
-        assert exc.value.code == 2
+        code, rows, out = run_cli(tmp_path, [command, "--seed", "-1"], text)
+        assert code == 2 and rows == [] and not out.exists()
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
 
-    def test_paths_override_below_two_exits_two(self, tmp_path):
+    def test_paths_override_below_two_exits_two(self, tmp_path, capsys):
         text = "servers = exp(1), exp(1)\nbound = homogeneous\nestimator = monte-carlo\n"
+        code, rows, out = run_cli(tmp_path, ["bound", "--paths", "1"], text)
+        assert code == 2 and rows == [] and not out.exists()
+        assert capsys.readouterr().err == "config error: paths must be >= 2, got 1\n"
+
+
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("analytic", "--seed"),
+            ("analytic", "--jobs"),
+            ("mdp", "--jobs"),
+            ("mdp", "--paths"),
+            ("bound", "--runs"),
+            ("simulate", "--paths"),
+        ],
+    )
+    def test_override_a_command_does_not_read_exits_two(self, tmp_path, capsys, command, flag):
+        # the command took the flag and ignored it
         with pytest.raises(SystemExit) as exc:
-            run_cli(tmp_path, ["bound", "--paths", "1"], text)
+            run_cli(tmp_path, [command, flag, "5"], EXAMPLE1)
         assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    def test_override_replaces_the_file_value_and_keeps_its_digest(self, tmp_path):
+        text = EXAMPLE1 + "jobs = 200\n"
+        code, rows, _ = run_cli(tmp_path, ["simulate", "--jobs", "100"], text)
+        plain_code, plain_rows, _ = run_cli(tmp_path, ["simulate"], text)
+        assert code == plain_code == 0
+        assert [r["n_jobs"] for r in rows] == ["100", "100"]
+        assert [r["n_jobs"] for r in plain_rows] == ["200", "200"]
+        assert [r["config"] for r in rows] == [r["config"] for r in plain_rows]
+        assert rows[0]["config"] == parse_config(text).digest
+
+    def test_non_integer_override_is_a_config_error(self, tmp_path, capsys):
+        code, rows, out = run_cli(tmp_path, ["simulate", "--jobs", "2.5"], EXAMPLE1)
+        assert code == 2 and rows == [] and not out.exists()
+        assert capsys.readouterr().err.startswith("config error: jobs must be an integer")
+
+    def test_trace_of_a_sweep_is_the_first_points_once(self, tmp_path):
+        # the trace is written at the first sweep point only, not
+        # overwritten by the later ones
+        text = EXAMPLE1.replace("det(2)", "det($d)") + "sweep = d: 2, 3\n"
+        trace = tmp_path / "trace.csv"
+        args = ["simulate", "--jobs", "50", "--seed", "4", "--trace", str(trace), "--horizon", "30"]
+        code, rows, _ = run_cli(tmp_path, args, text)
+        assert code == 0 and [r["d"] for r in rows] == ["2.0", "2.0", "3.0", "3.0"]
+        cfg = parse_config(text)
+        first, last = (
+            event_trace(cfg.materialize_system(d), NoRep(), 30.0, 4) for d in (2.0, 3.0)
+        )
+        assert first != last
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "time,event,job_id,server,detail"
+        assert lines[1:] == [f"{t!r},{ev},{job},{s},{detail}" for t, ev, job, s, detail in first]
 
 
 class TestSweepNames:

@@ -159,6 +159,14 @@ class TestEventTrace:
         with pytest.raises(ValueError, match="horizon"):
             event_trace(EXAMPLE, NoRep(), horizon=horizon, seed=1)
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, INF])
+    def test_lam_must_be_finite_and_non_negative(self, lam):
+        # -1 and nan traced a saturated run; inf pushed arrivals at t = 0
+        # forever and never returned
+        config = SystemConfig((Deterministic(1.0), Deterministic(2.0)), 0.0)
+        with pytest.raises(ValueError, match="lam"):
+            event_trace(config, NoRep(), horizon=5.0, seed=1, lam=lam)
+
     def test_same_seed_identical_logs(self):
         a = event_trace(EXAMPLE, ADAREP_EXAMPLE, horizon=200.0, seed=9)
         b = event_trace(EXAMPLE, ADAREP_EXAMPLE, horizon=200.0, seed=9)
