@@ -74,9 +74,10 @@ def adarep_pause_throughput(d1, d2, delta, thresholds) -> float:
         return 1.0 / (delta + min_expectation([d1, d2]))
     m1 = d1.truncated_mean(t12)
     m2 = d2.truncated_mean(t21)
-    if m1 <= 0.0 or m2 <= 0.0:
+    if m1 * m2 <= 0.0:  # a zero mean, or positive means whose product underflows
         raise DegenerateTruncationError(
-            f"truncated means ({m1}, {m2}) must be positive for thresholds ({t12}, {t21})"
+            f"truncated means ({m1}, {m2}) must have a positive product"
+            f" for thresholds ({t12}, {t21})"
         )
     g12 = _overflow_ratio(d1, d2, t12, delta, m1)
     g21 = _overflow_ratio(d2, d1, t21, delta, m2)
@@ -309,7 +310,9 @@ def homogeneous_bound(
 
     corners = [(0.0,) * (r - 1) + (INF,) * (k - r) for r in range(1, k + 1)]
     vec, mean = _minimise(cost, cands, corners, ordered=True, refine=refine)
-    return BoundReport(value=k / mean, optimizer=vec, stderr=k * errs[vec] / mean**2)
+    # an exact cost has no error, and mean**2 may overflow
+    stderr = k * errs[vec] / mean**2 if errs[vec] else 0.0
+    return BoundReport(value=k / mean, optimizer=vec, stderr=stderr)
 
 
 _LATTICE_GUARD = 200  # most lattice steps below the largest atom searched

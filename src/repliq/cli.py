@@ -12,10 +12,10 @@ share a name with a column.  ``--gnuplot`` draws one line per series key,
 titled by the series' first row.
 
 A command takes a flag for each config key it reads and a run may vary:
-``simulate`` takes ``--seed/--jobs/--runs`` and ``bound`` takes
-``--seed/--paths`` (``_OVERRIDES``).  A flag's value replaces the file's
-and goes through the same checks, so a bad one is a config error, but the
-``config`` column keeps the digest of the file itself.
+``simulate`` takes ``--seed/--jobs/--runs`` (``_OVERRIDES``).  A flag's
+value replaces the file's and goes through the same checks, so a bad one
+is a config error, but the ``config`` column keeps the digest of the file
+itself.
 
 Every CSV starts with a ``# generated`` timestamp line; everything after
 it is a deterministic function of the config and seed.  Exit codes:
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
 
 
 # the config keys each command reads that a flag of the same name replaces
-_OVERRIDES = {"simulate": ("seed", "jobs", "runs"), "bound": ("seed", "paths")}
+_OVERRIDES = {"simulate": ("seed", "jobs", "runs")}
 
 
 def _build_parser():
@@ -130,7 +130,7 @@ _COLUMNS = {
         "stderr",
         "unstable",
     ],
-    "bound": ["kind", "bound", "optimizer", "stderr", "error"],
+    "bound": ["kind", "bound", "optimizer", "error"],
     "mdp": ["item", "state", "action", "value"],
 }
 
@@ -228,39 +228,25 @@ def cmd_simulate(cfg: ExperimentConfig, args, point):
 
 
 def cmd_bound(cfg: ExperimentConfig, args, point):
-    """One row per bound kind that applies, a line per kind."""
+    """One exact row per upper bound that applies, a line per kind: pause
+    for two servers, homogeneous for identical laws, both when both hold."""
     system, _ = cfg.materialize(point)
     ds, delta = system.servers, system.delta
-    for kind in _bound_kinds(cfg, ds):
+    for kind in _bound_kinds(ds):
         try:
             if kind == "pause":
                 rep = bounds.optimize_pause_bound(ds[0], ds[1], delta)
                 opt = f"t12={_num(rep.optimizer[0])};t21={_num(rep.optimizer[1])}"
             else:
-                rep = bounds.homogeneous_bound(
-                    ds[0],
-                    delta,
-                    len(ds),
-                    estimator=cfg.estimator,
-                    n_paths=cfg.paths,
-                    seed=cfg.seed,
-                )
+                rep = bounds.homogeneous_bound(ds[0], delta, len(ds))
                 opt = ";".join(_num(t) for t in rep.optimizer)
-            row = dict(kind=kind, bound=_num(rep.value), optimizer=opt, stderr=_num(rep.stderr))
+            row = dict(kind=kind, bound=_num(rep.value), optimizer=opt)
         except RepliqError as exc:
             row = dict(kind=kind, error=str(exc))
         yield kind, kind, row
 
 
-def _bound_kinds(cfg, ds):
-    if cfg.bound == "pause" or (cfg.bound == "auto" and len(ds) == 2):
-        if len(ds) != 2:
-            raise ConfigError("the pause-and-replicate bound needs exactly 2 servers")
-        return ["pause"]
-    if cfg.bound in ("homogeneous", "auto"):
-        if len(set(ds)) != 1:
-            raise ConfigError("the homogeneous bound needs identical servers")
-        return ["homogeneous"]
+def _bound_kinds(ds):
     kinds = []
     if len(ds) == 2:
         kinds.append("pause")

@@ -5,7 +5,10 @@ literals follow the grammars in :mod:`repliq.distributions` and
 :mod:`repliq.policies`; every number in them, and in ``delta``, ``lambdas``
 and ``sweep``, may be arithmetic such as ``1/2``.  A single sweep axis
 substitutes ``$name`` inside any literal, so one config regenerates a whole
-figure's worth of rows.
+figure's worth of rows.  A ``start:stop:step`` range gives at most
+``_MAX_RANGE_POINTS`` points, none repeated at 12 decimals.  The bound
+command reads servers and delta alone: the server mix decides which
+bounds apply.
 
 Example::
 
@@ -37,17 +40,12 @@ _KNOWN_KEYS = {
     "runs",
     "seed",
     "sweep",
-    "bound",
-    "estimator",
-    "paths",
     "out",
 }
 
-_CHOICES = {
-    "mode": ("saturated", "poisson"),
-    "bound": ("auto", "pause", "homogeneous", "both"),
-    "estimator": ("exact", "monte-carlo"),
-}
+_CHOICES = {"mode": ("saturated", "poisson")}
+
+_MAX_RANGE_POINTS = 10_000  # the largest shipped sweep has 20 points
 
 
 @dataclass
@@ -62,9 +60,6 @@ class ExperimentConfig:
     seed: int = 0
     sweep_name: str = ""
     sweep_values: tuple = ()
-    bound: str = "auto"
-    estimator: str = "exact"
-    paths: int = 100_000
     out: str = ""
     digest: str = ""
 
@@ -152,13 +147,13 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         for lam in cfg.lambdas:
             if not 0 < lam < math.inf:
                 raise ConfigError(f"every lambda must be finite and > 0, got {lam}")
-    for key in ("jobs", "runs", "seed", "paths"):
+    for key in ("jobs", "runs", "seed"):
         if key in values:
             try:
                 setattr(cfg, key, int(values[key]))
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer: {exc}") from exc
-    for key, least in (("jobs", 1), ("runs", 1), ("paths", 2), ("seed", 0)):
+    for key, least in (("jobs", 1), ("runs", 1), ("seed", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     if "sweep" in values:
@@ -193,5 +188,10 @@ def _parse_number_list(text: str):
         raise ConfigError(f"range ends and step must be finite, got {text!r}")
     if step <= 0:
         raise ConfigError(f"sweep step must be > 0, got {step}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 12) for i in range(n)]
+    span = (stop - start) / step + 1e-9  # whole steps past start; inf if it overflows
+    if span >= _MAX_RANGE_POINTS:
+        raise ConfigError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
+    points = [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
+    if len(set(points)) < len(points):
+        raise ConfigError(f"range {text!r} repeats points at 12 decimals")
+    return points

@@ -501,12 +501,15 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
         if fcur == 0 or abs(sbis) < delta:
             return float(xcur)
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is inf or nan: it fails the test below
+                stry = math.nan
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -562,8 +565,9 @@ _GRID = 10**6  # lattice values are read in units of 1e-6
 def _lattice_step(dists, delta=0.0):
     """Largest step g, a Fraction, of which every atom of every law in the
     tuple dists and the delay delta are whole multiples: their gcd in units
-    of 1e-6.  None when a law is not atomic or a value lies more than 1e-9
-    off the 1e-6 grid.
+    of 1e-6.  None when a law is not atomic, a value lies more than 1e-9
+    off the 1e-6 grid, or a positive value rounds to no unit of it (a step
+    of 0 counts no time).
 
     The decision process counts time in ticks of g, the tabular policy
     reads its observations in ticks, and a saturated run on a lattice whose
@@ -579,7 +583,7 @@ def _lattice_step(dists, delta=0.0):
     for v in values:
         scaled = v * _GRID
         units = round(scaled)
-        if abs(scaled - units) > 1e-3:
+        if abs(scaled - units) > 1e-3 or (v > 0 and units == 0):
             return None
         g = math.gcd(g, units)
     return Fraction(g, _GRID)

@@ -125,6 +125,10 @@ class TestPauseThroughput:
         assert zero_atom.truncated_mean(tiny) == 0.0
         with pytest.raises(DegenerateTruncationError):
             adarep_pause_throughput(zero_atom, zero_atom, 0.0, (tiny, tiny))
+        # positive truncated means whose product underflows to 0
+        tiny_atom = FiniteSupport(((1e-300, 1.0),))
+        with pytest.raises(DegenerateTruncationError):
+            adarep_pause_throughput(tiny_atom, tiny_atom, 0.1, (INF, INF))
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -463,6 +467,11 @@ class TestBoundInputs:
     def test_k_must_be_a_positive_integer(self, k):
         with pytest.raises(ValueError, match="integer k >= 1"):
             homogeneous_bound(self.D, 0.1, k)
+
+    def test_huge_atoms_have_an_exact_bound(self):
+        # an exact cost has no stderr to scale, and its mean squared overflows
+        rep = homogeneous_bound(FiniteSupport(((1e300, 1.0),)), 0.0, 3)
+        assert rep.value == pytest.approx(3e-300, rel=1e-15) and rep.stderr == 0.0
 
     def test_numpy_integer_k(self):
         # the report holds plain floats, as for a Python int

@@ -3,6 +3,8 @@ import io
 import math
 import pathlib
 import re
+import signal
+import time
 
 import pytest
 
@@ -84,7 +86,7 @@ class TestConfigParsing:
             "servers = det(2)\ndelta = inf-inf\n",  # nan
             "servers = det(0)\n",  # zero mean
             "servers = finite([(0,1)])\n",
-            "servers = det(2)\npaths = 1\n",  # no Monte-Carlo stderr
+            "servers = det(2)\npaths = 1\n",  # every bound is exact: no path count
             "servers = det(2)\npaths = 0\n",
             "servers = det(2)\nseed = -1\n",  # numpy seeds are non-negative
         ],
@@ -271,7 +273,18 @@ class TestSimulateCommand:
         "key", ["sweep = p:", "mode = poisson\nlambdas ="], ids=["sweep", "lambdas"]
     )
     @pytest.mark.parametrize(
-        "numbers", ["0.1:x:0.1", "nan:1:0.1", "0:nan:0.1", "0:inf:0.5", "0:1:inf", "1:0:0.1", ","]
+        "numbers",
+        [
+            "0.1:x:0.1",
+            "nan:1:0.1",
+            "0:nan:0.1",
+            "0:inf:0.5",
+            "0:1:inf",
+            "1:0:0.1",
+            ",",
+            "0:1e-11:1e-13",  # 101 points, which repeat at 12 decimals
+            "-1e308:1e308:1",  # the point count overflows a float
+        ],
     )
     def test_bad_number_range_exits_two(self, tmp_path, capsys, key, numbers):
         text = EXAMPLE1 + f"{key} {numbers}\njobs = 50\nruns = 2\n"
@@ -370,29 +383,33 @@ class TestSimulateCommand:
 
 class TestBoundCommand:
     def test_pause_bound_recovers_threshold(self, tmp_path):
-        text = "servers = det(2), finite([(1,0.9),(20,0.1)])\nbound = pause\n"
+        text = "servers = det(2), finite([(1,0.9),(20,0.1)])\n"
         code, rows, _ = run_cli(tmp_path, ["bound"], text)
-        assert code == 0
+        assert code == 0 and [r["kind"] for r in rows] == ["pause"]
         assert float(rows[0]["bound"]) == pytest.approx(1.25, rel=1e-6)
         assert "t21=1.0" in rows[0]["optimizer"]
 
     def test_homogeneous_bound_exponential_pair(self, tmp_path):
-        text = "servers = exp(1), exp(1)\ndelta = 0.5\nbound = homogeneous\n"
+        # two identical servers: both bounds apply, and both say never replicate
+        text = "servers = exp(1), exp(1)\ndelta = 0.5\n"
         code, rows, _ = run_cli(tmp_path, ["bound"], text)
-        assert code == 0
-        assert float(rows[0]["bound"]) == pytest.approx(2.0, abs=1e-3)
-        assert rows[0]["optimizer"] == "inf"
+        assert code == 0 and [r["kind"] for r in rows] == ["pause", "homogeneous"]
+        assert [r["optimizer"] for r in rows] == ["t12=inf;t21=inf", "inf"]
+        for row in rows:
+            assert float(row["bound"]) == pytest.approx(2.0, abs=1e-3)
 
     def test_deterministic_bound(self, tmp_path):
-        text = "servers = det(2), det(2), det(2)\nbound = homogeneous\n"
+        text = "servers = det(2), det(2), det(2)\n"
         code, rows, _ = run_cli(tmp_path, ["bound"], text)
-        assert code == 0
+        assert code == 0 and [r["kind"] for r in rows] == ["homogeneous"]
         assert float(rows[0]["bound"]) == pytest.approx(1.5, rel=1e-9)
 
-    def test_config_error_exit_two(self, tmp_path):
-        text = "servers = det(2), det(2), det(2)\nbound = pause\n"
-        code, _, _ = run_cli(tmp_path, ["bound"], text)
-        assert code == 2
+    def test_config_error_exit_two(self, tmp_path, capsys):
+        # three servers with different laws: neither bound applies
+        text = "servers = det(2), det(3), det(4)\n"
+        code, rows, out = run_cli(tmp_path, ["bound"], text)
+        assert code == 2 and rows == [] and not out.exists()
+        assert capsys.readouterr().err == "config error: no applicable bound for this server mix\n"
 
     @pytest.mark.parametrize("flag", ["--jobs", "--runs"])
     def test_count_override_below_one_exits_two(self, tmp_path, capsys, flag):
@@ -402,24 +419,34 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize(
         "command,text",
-        [
-            ("simulate", EXAMPLE1 + "jobs = 200\n"),
-            ("bound", "servers = exp(1), exp(1)\nbound = homogeneous\nestimator = monte-carlo\n"),
-        ],
+        [("simulate", EXAMPLE1 + "jobs = 200\n"), ("bound", "servers = exp(1), exp(1)\n")],
     )
     def test_negative_seed_exits_two(self, tmp_path, capsys, command, text):
+        # the file's seed is checked for every command; only simulate reads
+        # it, so bound takes no --seed and refuses the flag as a usage error
         code, rows, _ = run_cli(tmp_path, [command], text + "seed = -1\n")
         assert code == 2 and rows == []
         assert capsys.readouterr().err.startswith("config error:")
+        if command == "bound":
+            with pytest.raises(SystemExit) as exc:
+                run_cli(tmp_path, [command, "--seed", "-1"], text)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+            return
         code, rows, out = run_cli(tmp_path, [command, "--seed", "-1"], text)
         assert code == 2 and rows == [] and not out.exists()
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
 
     def test_paths_override_below_two_exits_two(self, tmp_path, capsys):
-        text = "servers = exp(1), exp(1)\nbound = homogeneous\nestimator = monte-carlo\n"
-        code, rows, out = run_cli(tmp_path, ["bound", "--paths", "1"], text)
+        # every bound is exact: neither a flag nor the file sets a path count
+        text = "servers = exp(1), exp(1)\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, ["bound", "--paths", "1"], text)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --paths 1" in capsys.readouterr().err
+        code, rows, out = run_cli(tmp_path, ["bound"], text + "paths = 1\n")
         assert code == 2 and rows == [] and not out.exists()
-        assert capsys.readouterr().err == "config error: paths must be >= 2, got 1\n"
+        assert capsys.readouterr().err == "config error: line 2: unknown key 'paths'\n"
 
 
 class TestOverrides:
@@ -571,7 +598,7 @@ SHIPPED_K = {
     "bound_exponential_pair.cfg": 2,
     "bound_mixed_pair.cfg": 2,
     "bound_hyperexp_k3.cfg": 3,
-    "bound_hyperexp_k6_mc.cfg": 6,
+    "bound_hyperexp_k6.cfg": 6,
     "bound_p_sweep.cfg": 2,
     "example1_analytic.cfg": 2,
     "example1_simulate.cfg": 2,
@@ -613,17 +640,25 @@ class TestShippedExperiments:
         ps = sorted({float(r["p"]) for r in rows})
         assert len(ps) == 10 and math.isclose(ps[0], 0.05)
 
-    def test_monte_carlo_bound_config(self, tmp_path):
-        # the Monte-Carlo homogeneous bound on the homog_wide benchmark law,
-        # pinned like TestHomogeneousBoundPins.test_monte_carlo
-        (row,) = _run_experiment(tmp_path, "bound", "bound_hyperexp_k6_mc.cfg")
-        assert row["error"] == ""
-        assert float(row["bound"]) == 2.23104514677095
-        assert float(row["bound"]) >= 2.2283750984069166  # the grid-and-descent value
-        assert float(row["stderr"]) == 0.03129694060228212
+    def test_monte_carlo_bound_config(self, tmp_path, capsys):
+        # minimising over common sample paths fits the paths and can read
+        # below the bound, so the CLI offers no Monte-Carlo estimator
+        path = pathlib.Path(__file__).parent.parent / "experiments" / "bound_hyperexp_k6.cfg"
+        text = path.read_text() + "estimator = monte-carlo\npaths = 5000\n"
+        n = len(text.splitlines()) - 1
+        code, rows, out = run_cli(tmp_path, ["bound"], text)
+        assert code == 2 and rows == [] and not out.exists()
+        assert capsys.readouterr().err == f"config error: line {n}: unknown key 'estimator'\n"
+
+    def test_hyperexp_six_server_bound_config(self, tmp_path):
+        # the exact homogeneous bound on the homog_wide benchmark law, pinned
+        # like TestHomogeneousBoundPins.test_exact
+        (row,) = _run_experiment(tmp_path, "bound", "bound_hyperexp_k6.cfg")
+        assert (row["kind"], row["error"]) == ("homogeneous", "")
+        assert float(row["bound"]) == 2.2581058275278525
         assert row["optimizer"] == (
-            "1.0611564168488834;1.1609229506290026;2.2889878508766826;"
-            "3.0235727548624207;3.0235727548624207"
+            "1.4752582642136465;1.9006838296070614;2.6086741763829613;"
+            "3.277310253803528;3.914456770897774"
         )
 
     def test_atomic_seven_server_bound_config(self, tmp_path):
@@ -737,7 +772,7 @@ class TestShippedExperiments:
     def test_gnuplot_of_bound_kinds_that_change_along_the_sweep_exits_two(self, tmp_path, capsys):
         # two exponential servers are identical at x = 1 only, where the
         # homogeneous bound joins the pause bound: no kind has a row per point
-        text = "servers = exp(1), exp($x)\ndelta = 0\nbound = both\nsweep = x: 1, 2\n"
+        text = "servers = exp(1), exp($x)\ndelta = 0\nsweep = x: 1, 2\n"
         cfg, out, plot = tmp_path / "b.cfg", tmp_path / "b.csv", tmp_path / "b.gp"
         cfg.write_text(text)
         code = main(["bound", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
@@ -913,3 +948,55 @@ class TestNonFiniteLawParameters:
         text = EXAMPLE1.replace("norep; fullrep", "adarep:{1->2:inf}") + "jobs = 200\n"
         code, rows, _ = run_cli(tmp_path, ["simulate"], text)
         assert code == 0 and len(rows) == 1
+
+
+# inputs that once ended in a traceback or ran without end, listed before
+# their first run: (id, command, config text)
+TINY, HUGE = "finite([(1e-300,1)])", "finite([(1e300,1)])"
+P_SWEEP = "servers = det(2), finite([(1,1-$p),(20,$p)])\npolicies = norep\njobs = 300\n"
+DEGENERATE_INPUTS = [
+    ("zero-tick-atom", "mdp", "servers = det(1e-17), finite([(1,0.9),(20,0.1)])\ndelta = 0\n"),
+    ("tiny-atom", "mdp", f"servers = {TINY}\ndelta = 0\n"),
+    ("tiny-atom", "bound", f"servers = {TINY}\ndelta = 0.1\n"),
+    ("tiny-atom-pair", "bound", f"servers = {TINY}, {TINY}\ndelta = 0.1\n"),
+    ("huge-atom", "bound", f"servers = {HUGE}, {HUGE}, {HUGE}\ndelta = 0\n"),
+    ("tiny-rate", "bound", "servers = det(2), hyperexp(0.6,1e-300,0.4)\ndelta = 0.1\n"),
+    ("fine-sweep", "analytic", P_SWEEP + "sweep = p: 0.05:0.5:1e-17\n"),
+    ("fine-sweep", "simulate", P_SWEEP + "sweep = p: 0.05:0.5:1e-17\n"),
+    ("fine-lambdas", "analytic", EXAMPLE1 + "jobs = 300\nmode = poisson\nlambdas = 0.1:1:1e-17\n"),
+    ("fine-lambdas", "simulate", EXAMPLE1 + "jobs = 300\nmode = poisson\nlambdas = 0.1:1:1e-17\n"),
+]
+
+
+class RanPastTenSeconds(Exception):
+    """Not an OSError, which main would report as a config error."""
+
+
+def _time_out(signum, frame):
+    raise RanPastTenSeconds
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize(
+        "command,text",
+        [case[1:] for case in DEGENERATE_INPUTS],
+        ids=[f"{command}-{name}" for name, command, _ in DEGENERATE_INPUTS],
+    )
+    def test_ends_in_rows_or_one_typed_error(self, tmp_path, capsys, command, text):
+        # the alarm stops an input that would run on, or allocate without end
+        previous = signal.signal(signal.SIGALRM, _time_out)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        start = time.perf_counter()
+        try:
+            code, rows, out = run_cli(tmp_path, [command], text)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        if code == 0:  # a bound row may carry an error cell
+            assert rows and err == ""
+        else:
+            assert code in (2, 3) and rows == [] and not out.exists()
+            (line,) = err.splitlines()
+            assert line.startswith(("config error:", "numeric error:"))

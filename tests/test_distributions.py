@@ -476,6 +476,20 @@ class TestBrentq:
                 assert type(got) is float and got == want, (d, p)
                 assert d.quantile(p) == want, (d, p)
 
+    def test_bisects_where_a_step_divides_by_zero(self):
+        # a 1e-300 rate leaves f flat over the bracket, so a secant or
+        # interpolation step divides by zero: scipy's step is inf or nan there
+        # and it bisects
+        d = HyperExp(0.6, 1e-300, 0.4)
+        for p, want in (
+            (0.7, 2.8768207245178087e299),
+            (0.8, 6.931471805599536e299),
+            (0.9, 1.386294361119891e300),
+        ):
+            f, a, b = hyperexp_root(d, p)
+            assert brentq(f, a, b, xtol=1e-13, rtol=1e-13) == want
+            assert d.quantile(p) == want
+
     @pytest.mark.parametrize(
         "f",
         [
@@ -535,6 +549,12 @@ class TestLatticeStep:
         assert _lattice_step(example_servers(), 1 / 3) is None
         # within 1e-9 of the 1e-6 grid counts as on it
         assert _lattice_step((Deterministic(0.1 + 1e-10),)) == Fraction(1, 10)
+
+    def test_positive_value_below_one_unit(self):
+        # a step of 0 would count no time
+        assert _lattice_step((FiniteSupport(((1e-300, 1.0),)),)) is None
+        assert _lattice_step((Deterministic(1e-17), Deterministic(1.0))) is None
+        assert _lattice_step(example_servers(), 1e-17) is None
 
     def test_non_atomic(self):
         assert _lattice_step((Exponential(1.0), Deterministic(1.0))) is None
