@@ -7,10 +7,9 @@ space exhaustively (guarded by the Bell-number growth).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .distributions import ServiceDistribution, _check_delta, min_expectation
+from .distributions import ServiceDistribution, _check_delta, _check_k, _launch_time
 from .errors import InvalidPartitionError, TooManyServersError
 
 INF = float("inf")
@@ -113,9 +112,7 @@ def throughput_norep(ds) -> ThroughputReport:
 def throughput_fullrep(ds, delta: float = 0.0) -> ThroughputReport:
     """Every job runs on all servers at once; siblings cancel on first finish."""
     _check_delta(delta)
-    ds = list(ds)
-    charge = delta if len(ds) >= 2 else 0.0
-    rate = 1.0 / (charge + min_expectation(ds))
+    rate = 1.0 / _launch_time(ds, delta)
     return ThroughputReport(rate, (rate,), "fullrep", params=f"delta={delta}")
 
 
@@ -132,14 +129,7 @@ def throughput_upfront(partition: Partition, ds, delta: float = 0.0) -> Throughp
         raise InvalidPartitionError(
             f"partition covers {partition.k} servers, config has {len(ds)}"
         )
-    rates = tuple(
-        1.0
-        / (
-            min_expectation([ds[i] for i in sorted(g)])
-            + (delta if len(g) >= 2 else 0.0)
-        )
-        for g in partition.groups
-    )
+    rates = tuple(1.0 / _launch_time([ds[i] for i in sorted(g)], delta) for g in partition.groups)
     return ThroughputReport(
         math.fsum(rates), rates, "upfront", params=str(partition)
     )
@@ -182,13 +172,11 @@ def best_homogeneous_r(d: ServiceDistribution, delta: float, k: int) -> Homogene
     ties go to the smallest r.  The returned rate k / cost is attained by a
     partition into equal groups exactly when r divides k.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k!r}")
+    k = _check_k(k)
     _check_delta(delta)
     best_r, best_cost = None, None
     for r in range(1, k + 1):
-        charge = delta if r >= 2 else 0.0
-        cost = r * (min_expectation([d] * r) + charge)
+        cost = r * _launch_time([d] * r, delta)
         if best_cost is None or cost < best_cost * (1.0 - _TIE_REL):
             best_r, best_cost = r, cost
     return HomogeneousReplication(

@@ -31,7 +31,6 @@ descent step and bound, has the bits of the path-major reductions.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +39,12 @@ from .distributions import (
     FiniteSupport,
     ServiceDistribution,
     _check_delta,
+    _check_k,
     _golden,
+    _launch_time,
     _lattice_step,
     _snap,
     _time_of,
-    min_expectation,
     product_tail_integral,
 )
 from .errors import DegenerateTruncationError
@@ -71,7 +71,7 @@ def adarep_pause_throughput(d1, d2, delta, thresholds) -> float:
     _check_delta(delta)
     t12, t21 = _as_pair(thresholds)
     if t12 == 0.0 or t21 == 0.0:
-        return 1.0 / (delta + min_expectation([d1, d2]))
+        return 1.0 / _launch_time([d1, d2], delta)
     m1 = d1.truncated_mean(t12)
     m2 = d2.truncated_mean(t21)
     if m1 * m2 <= 0.0:  # a zero mean, or positive means whose product underflows
@@ -89,7 +89,7 @@ def _overflow_ratio(d_own, d_other, threshold, delta, trunc_mean):
     p = d_own.tail(threshold)
     if p <= 0.0:
         return 0.0
-    rep_time = delta + min_expectation([d_own.residual(threshold), d_other])
+    rep_time = _launch_time([d_own.residual(threshold), d_other], delta)
     return p * rep_time / trunc_mean
 
 
@@ -294,9 +294,7 @@ def homogeneous_bound(
     upfront corner (first r starts zero, rest infinite).  Monte-Carlo
     evaluations reuse one common set of draws across all candidates.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"need an integer k >= 1, got {k!r}")
-    k = int(k)
+    k = _check_k(k)
     _check_paths(estimator, n_paths)
     cands, refine = _candidates((d,))
     if grid:

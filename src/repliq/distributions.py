@@ -25,6 +25,7 @@ everywhere it makes sense.
 import ast
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,18 +88,17 @@ class ServiceDistribution:
         return np.array([self.sample(rng) for _ in range(n)])
 
     # -- integration protocol -------------------------------------------------
-    # _support_upper: sup of the support (inf when unbounded).
-    # _breakpoints: x values where the tail jumps or kinks.
+    # _atoms: [(value, prob), ...] for purely atomic laws, else None; the
+    #   support of an atomic law ends at its largest atom, of any other never.
+    # _phases: [(weight, rate), ...] for mixtures of exponentials, else None.
+    # _breakpoints: x values where the tail jumps or kinks; an atomic law's
+    #   atoms unless overridden.
     # _decay: ("exp",) | ("poly", alpha) asymptotic tail class, read only
     #   for unbounded support.
-    # _atoms: [(value, prob), ...] for purely atomic laws, else None.
-    # _phases: [(weight, rate), ...] for mixtures of exponentials, else None.
-
-    def _support_upper(self) -> float:
-        return INF
 
     def _breakpoints(self) -> tuple:
-        return ()
+        atoms = self._atoms()
+        return () if atoms is None else tuple(v for v, _ in atoms)
 
     def _decay(self) -> tuple:
         return ("exp",)
@@ -138,12 +138,6 @@ class Deterministic(ServiceDistribution):
     def sample_array(self, rng, n):
         return np.full(n, self.value)
 
-    def _support_upper(self):
-        return self.value
-
-    def _breakpoints(self):
-        return (self.value,)
-
     def _atoms(self):
         return ((self.value, 1.0),)
 
@@ -170,8 +164,6 @@ class Exponential(ServiceDistribution):
         return math.exp(-self.rate * x)
 
     def truncated_mean(self, t):
-        if t == INF:
-            return self.mean()
         return -math.expm1(-self.rate * t) / self.rate
 
     def _quantile(self, p):
@@ -223,14 +215,8 @@ class Shifted(ServiceDistribution):
     def sample_array(self, rng, n):
         return self.shift + self.inner.sample_array(rng, n)
 
-    def _support_upper(self):
-        return self.shift + self.inner._support_upper()
-
     def _breakpoints(self):
         return (self.shift,) + tuple(self.shift + b for b in self.inner._breakpoints())
-
-    def _decay(self):
-        return self.inner._decay()
 
     def _atoms(self):
         inner = self.inner._atoms()
@@ -269,15 +255,11 @@ class HyperExp(ServiceDistribution):
         )
 
     def truncated_mean(self, t):
-        if t == INF:
-            return self.mean()
         return (1.0 - self.p2) * -math.expm1(-self.rate1 * t) / self.rate1 + (
             self.p2 * -math.expm1(-self.rate2 * t) / self.rate2
         )
 
     def _quantile(self, p):
-        if p <= 0:
-            return 0.0
         target = 1.0 - p
         hi = 1.0
         while self.tail(hi) > target:
@@ -408,12 +390,6 @@ class FiniteSupport(ServiceDistribution):
         idx = np.searchsorted(self._cum, rng.random(n), side="right")
         return np.asarray(self._values)[np.minimum(idx, len(self._values) - 1)]
 
-    def _support_upper(self):
-        return self._values[-1]
-
-    def _breakpoints(self):
-        return self._values
-
     def _atoms(self):
         return self.atoms
 
@@ -448,8 +424,6 @@ class Residual(ServiceDistribution):
         return self.base.tail(self.age + x) / self._tail_at_age
 
     def truncated_mean(self, t):
-        if t == INF:
-            return self.mean()
         top = self.base.truncated_mean(self.age + t) - self.base.truncated_mean(self.age)
         return top / self._tail_at_age
 
@@ -461,9 +435,6 @@ class Residual(ServiceDistribution):
 
     def _residual(self, t):
         return self.base.residual(self.age + t)
-
-    def _support_upper(self):
-        return self.base._support_upper() - self.age
 
     def _breakpoints(self):
         return tuple(b - self.age for b in self.base._breakpoints() if b > self.age)
@@ -555,6 +526,13 @@ def _check_delta(delta):
         raise ValueError(f"cancellation delay must be finite and >= 0, got {delta}")
 
 
+def _check_k(k) -> int:
+    """The one rule for a server count given as a number: an integer >= 1."""
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"need an integer k >= 1, got {k!r}")
+    return int(k)
+
+
 # ---------------------------------------------------------------------------
 # The time lattice of an atomic mix.
 
@@ -566,8 +544,9 @@ def _lattice_step(dists, delta=0.0):
     """Largest step g, a Fraction, of which every atom of every law in the
     tuple dists and the delay delta are whole multiples: their gcd in units
     of 1e-6.  None when a law is not atomic, a value lies more than 1e-9
-    off the 1e-6 grid, or a positive value rounds to no unit of it (a step
-    of 0 counts no time).
+    off the 1e-6 grid, a positive value rounds to no unit of it (a step
+    of 0 counts no time), or a value spans more than 2**53 units (its tick
+    count would be no exact float, and sums of ticks would round).
 
     The decision process counts time in ticks of g, the tabular policy
     reads its observations in ticks, and a saturated run on a lattice whose
@@ -583,7 +562,7 @@ def _lattice_step(dists, delta=0.0):
     for v in values:
         scaled = v * _GRID
         units = round(scaled)
-        if abs(scaled - units) > 1e-3 or (v > 0 and units == 0):
+        if abs(scaled - units) > 1e-3 or (v > 0 and units == 0) or units > 2**53:
             return None
         g = math.gcd(g, units)
     return Fraction(g, _GRID)
@@ -626,6 +605,13 @@ def min_expectation(ds) -> float:
     return product_tail_integral([(d, 0.0, 1) for d in ds], lower=0.0)
 
 
+def _launch_time(laws, delta) -> float:
+    """Expected time a launch of copies on the given laws holds its job:
+    E[min of the copies], plus the cancellation delay once two or more run."""
+    laws = list(laws)
+    return min_expectation(laws) + (delta if len(laws) >= 2 else 0.0)
+
+
 def product_tail_integral(components, lower: float = 0.0) -> float:
     """Integral over [lower, inf) of the product over components of
     tail_i(x - offset_i) ** power_i.
@@ -636,7 +622,7 @@ def product_tail_integral(components, lower: float = 0.0) -> float:
     exponential-mixture tails; quadrature once a Pareto law is among them.
     """
     comps = _normalize_components(components)
-    upper = min(off + d._support_upper() for d, off, _ in comps)
+    upper = min(off + _support_end(d) for d, off, _ in comps)
     if upper <= lower:
         return 0.0
 
@@ -689,6 +675,11 @@ def product_tail_integral(components, lower: float = 0.0) -> float:
     # remainder via x = cut/u, mapping [cut, inf) to (0, 1]
     rem, _ = quad(lambda u: f(cut / u) * cut / (u * u), 0.0, 1.0, **_QUAD_OPTS)
     return val + rem
+
+
+def _support_end(d):
+    atoms = d._atoms()
+    return INF if atoms is None else max(v for v, _ in atoms)
 
 
 def _normalize_components(components):

@@ -53,7 +53,6 @@ from the caller, one per CPU in the process's affinity set; each run keeps
 its own seed, so the result does not depend on the split.
 """
 
-import hashlib
 import heapq
 import math
 import os
@@ -98,10 +97,6 @@ class SystemConfig:
     def k(self) -> int:
         return len(self.servers)
 
-    def digest(self) -> str:
-        text = ";".join(str(d) for d in self.servers) + f"|delta={self.delta!r}"
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
 
 class _Job:
     __slots__ = ("id", "arrival", "servers", "starts", "departed")
@@ -130,7 +125,6 @@ class RunResult:
     n_jobs: int
     seed: int
     throughput: float
-    config_digest: str
     # each mode's own fields; the other mode leaves them at these defaults
     lam: float = 0.0
     n_runs: int = 1
@@ -477,7 +471,6 @@ def run_saturated(config: SystemConfig, policy: Policy, n_jobs: int, seed: int) 
         throughput=throughput,
         throughput_stderr=_stderr([nb / dur for nb, dur, _ in batches if dur > 0]),
         mean_computing=mean_c,
-        config_digest=config.digest(),
         batches=tuple(batches),
         max_idle_gap=sim.max_idle_gap,
     )
@@ -541,7 +534,6 @@ def run_poisson(
         mean_response=float(np.mean(run_means)),
         response_stderr=_stderr(run_means),
         unstable=bool(unstable),
-        config_digest=config.digest(),
     )
 
 

@@ -93,7 +93,7 @@ def build_mdp(ds, delta: float = 0.0, state_cap: int = STATE_CAP) -> MdpKernel:
     _check_delta(delta)
     step = _lattice_step(ds, delta)
     if step is None:
-        raise NonLatticeDeltaError(f"atom values of {ds} and delta {delta} are not on the 1e-6 grid")
+        raise NonLatticeDeltaError(f"atom values of {ds} and delta {delta} have no lattice step on the 1e-6 grid")
     g = float(step)
     window = float(_ticks(delta, g))
     k = len(ds)

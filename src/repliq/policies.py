@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .analytic import Partition
-from .distributions import _eval_literal, _fmt, _lattice_step, min_expectation, parse_number
+from .distributions import _eval_literal, _fmt, _launch_time, _lattice_step, _ticks, parse_number
 from .errors import PolicyError
 
 INF = float("inf")
@@ -303,11 +303,11 @@ class TabularPolicy(Policy):
         sets = []
         for jv in obs.jobs:
             for s, e in zip(jv.servers, jv.elapsed):
-                elapsed[s] = round(e / g)
+                elapsed[s] = _ticks(e, g)
             sets.append(tuple(sorted(jv.servers)))
         cancel = [0] * k
         for s, rem in obs.cancelling:
-            cancel[s] = round(rem / g)
+            cancel[s] = _ticks(rem, g)
         key = (tuple(sorted(sets)), tuple(elapsed), tuple(cancel))
         entry = self._lookup.get(key)
         if entry is None:
@@ -444,11 +444,7 @@ class _Laws(tuple):
 
 @lru_cache(maxsize=200_000)
 def _expected_departure(replicas, dists, delta):
-    laws = [dists[s].residual(e) if e > 0 else dists[s] for s, e in replicas]
-    expected = min_expectation(laws)
-    if len(replicas) >= 2:
-        expected += delta
-    return expected
+    return _launch_time([dists[s].residual(e) if e > 0 else dists[s] for s, e in replicas], delta)
 
 
 # ---------------------------------------------------------------------------

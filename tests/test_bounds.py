@@ -659,6 +659,34 @@ class TestStartTimesOnTheLattice:
         at, after = (0.1, 0.2, 0.3), (0.1, 0.2, 0.1 + 0.2)
         assert homogeneous_cost(d, 0.1, at) == homogeneous_cost(d, 0.1, after)
 
+    @pytest.mark.parametrize(
+        "laws,cands",
+        [
+            (
+                (FiniteSupport(((0.001, 0.5), (1.0, 0.5))),),
+                [0.0, 0.001, 0.003270242804522918, 0.01069448800053393, 0.034973572431802796,
+                 0.11437207359356424, 0.3740244507077191, 1.0, 1.2231507686425565, 4.0, INF],
+            ),
+            (
+                (Deterministic(0.003), FiniteSupport(((1.0, 0.9), (20.0, 0.1)))),
+                [0.0, 0.003, 0.012864784100515489, 0.05516755665095871, 0.2365729018891804, 1.0,
+                 1.0144864356122458, 4.350382989017682, 18.65557930275592, 20.0, 80.0, INF],
+            ),
+            (
+                (
+                    FiniteSupport(((0.01, 0.3), (2.5, 0.7))),
+                    Shifted(0.5, FiniteSupport(((0.25, 0.5), (3.0, 0.5)))),
+                ),
+                [0.0, 0.01, 0.028147955919589164, 0.07923074224511346, 0.22301834401917855, 0.5,
+                 0.627751051671161, 0.75, 1.7669908930915579, 2.5, 3.5, 4.973718176905668, 14.0,
+                 INF],
+            ),
+        ],
+    )
+    def test_candidates_past_the_lattice_guard(self, laws, cands):
+        # more than _LATTICE_GUARD steps: quantiles and every atom, refined on the lattice
+        assert bounds_module._candidates(laws) == (cands, _lattice_step(laws))
+
     def test_benchmark_bounds_do_not_move(self):
         # homog_wide's law has no lattice; mdp_exact's pause bounds take the
         # lattice rule, whose candidates are never refined

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import math
 import pathlib
+import random
 import re
 import signal
 import time
@@ -960,6 +962,7 @@ DEGENERATE_INPUTS = [
     ("tiny-atom", "bound", f"servers = {TINY}\ndelta = 0.1\n"),
     ("tiny-atom-pair", "bound", f"servers = {TINY}, {TINY}\ndelta = 0.1\n"),
     ("huge-atom", "bound", f"servers = {HUGE}, {HUGE}, {HUGE}\ndelta = 0\n"),
+    ("huge-atom-mix", "mdp", "servers = det(2), finite([(1,0.8),(1e300,0.2)])\ndelta = 0\n"),
     ("tiny-rate", "bound", "servers = det(2), hyperexp(0.6,1e-300,0.4)\ndelta = 0.1\n"),
     ("fine-sweep", "analytic", P_SWEEP + "sweep = p: 0.05:0.5:1e-17\n"),
     ("fine-sweep", "simulate", P_SWEEP + "sweep = p: 0.05:0.5:1e-17\n"),
@@ -1000,3 +1003,84 @@ class TestDegenerateInputs:
             assert code in (2, 3) and rows == [] and not out.exists()
             (line,) = err.splitlines()
             assert line.startswith(("config error:", "numeric error:"))
+
+
+# A seeded mutation sweep over the shipped configs: each case takes one
+# config, drops its comments and its jobs and runs lines, changes one or two
+# of its other lines, and runs one command on it with jobs = 300 and runs = 2.
+# A change replaces one number inside a line's value by one of
+# SWEEP_NUMBERS, or the whole value by one of SWEEP_LITERALS.  The seed and
+# the lists are fixed; a case that fails is a finding, not one to re-draw.
+SWEEP_SEED = 20261022
+SWEEP_CASES = 200
+SWEEP_NUMBERS = ("0", "-0", "1e-300", "1e300", "nan", "inf", "-1", "0.1", "1e-17", "3")
+SWEEP_LITERALS = (
+    "", "0", "-1", "nan", "inf", "1/0", "10**400", "1e300", "1e-300", "foo", "((", "1,2",
+    "det(0)", "det(-1)", "exp(0)", "finite([])", "finite([(1,0.5)])",
+    "finite([(1e300,0.5),(1,0.5)])", "finite([(1e-300,0.5),(1,0.5)])", "pareto(0.5,0.5)",
+    "pareto(1,1)", "hyperexp(1,1,2)", "hyperexp(1e-300,1,0.5)", "shift(1, det(1))",
+    "shiftexp(-1,1)", "det(2), det(2), det(2)", "norep", "maxrate:nodelta", "adarep:{1->9:1}",
+    "adarep-hom:[]", "upfront:[[1],[1]]", "best-r", "poisson", "saturated", "p: 1",
+    "0:1:0.5", "0:1:0", "1:0:0.1", "x: 1, 2", "0.5, 1e300",
+)
+SWEEP_COMMANDS = ("analytic", "bound", "mdp", "simulate")
+# exact optima of five to seven servers take seconds to minutes unmutated
+SWEEP_SLOW = {
+    ("mdp", "bound_atomic_k7.cfg"),
+    ("mdp", "mdp_k5_delay.cfg"),
+    ("mdp", "mdp_k5_identical.cfg"),
+    ("mdp", "mdp_k6_delay.cfg"),
+    ("mdp", "mdp_k6_identical.cfg"),
+}
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _mutation_cases():
+    rng = random.Random(SWEEP_SEED)
+    paths = sorted((pathlib.Path(__file__).parent.parent / "experiments").glob("*.cfg"))
+    cases = []
+    while len(cases) < SWEEP_CASES:
+        path, command = rng.choice(paths), rng.choice(SWEEP_COMMANDS)
+        if (command, path.name) in SWEEP_SLOW:
+            continue
+        lines = [raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines()]
+        lines = [ln for ln in lines if ln and ln.split("=")[0].strip() not in ("jobs", "runs")]
+        for _ in range(rng.choice((1, 2))):
+            i = rng.randrange(len(lines))
+            key, _, value = lines[i].partition("=")
+            numbers = list(_NUMBER.finditer(value))
+            if numbers and rng.random() < 0.5:
+                m = rng.choice(numbers)
+                value = value[: m.start()] + rng.choice(SWEEP_NUMBERS) + value[m.end() :]
+            else:
+                value = " " + rng.choice(SWEEP_LITERALS)
+            lines[i] = f"{key}={value}"
+        cases.append((command, path.name, "\n".join(lines + ["jobs = 300", "runs = 2"]) + "\n"))
+    return cases
+
+
+class TestMutationSweep:
+    def test_every_case_ends_in_rows_or_a_typed_error(self, tmp_path):
+        # exit 0, 2 or 3 and no traceback, each case within a 5 s alarm
+        failures = []
+        cfg, out = tmp_path / "mutated.cfg", tmp_path / "out.csv"
+        previous = signal.signal(signal.SIGALRM, _time_out)
+        try:
+            for command, name, text in _mutation_cases():
+                cfg.write_text(text)
+                err = io.StringIO()
+                signal.setitimer(signal.ITIMER_REAL, 5.0)
+                try:
+                    with contextlib.redirect_stderr(err):
+                        code = main([command, "--config", str(cfg), "--out", str(out)])
+                except RanPastTenSeconds:
+                    code = "past 5 s"
+                except Exception as exc:  # every escape from main is a finding
+                    code = repr(exc)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0.0)
+                if code not in (0, 2, 3) or "Traceback" in err.getvalue():
+                    failures.append((command, name, text, code))
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert failures == []

@@ -118,8 +118,15 @@ class TestTruncatedMean:
         assert d.truncated_mean(t) == pytest.approx(expected, abs=1e-8)
 
     def test_infinity_gives_mean(self):
-        for d in ALL_VARIANTS:
-            assert d.truncated_mean(INF) == pytest.approx(d.mean(), rel=1e-9)
+        # to the bit: the general formula at t = inf is the mean's
+        more = [
+            HyperExp(0.5, 0.1, 0.0),
+            HyperExp(0.5, 0.1, 1.0),
+            Pareto(0.5, 2.2).residual(1.0),
+            Shifted(0.5, HyperExp(0.5, 0.1, 0.4)),
+        ]
+        for d in ALL_VARIANTS + more:
+            assert d.truncated_mean(INF) == d.mean(), d
 
     def test_infinity_with_infinite_mean_raises(self):
         with pytest.raises(InfiniteMeanError):
@@ -234,6 +241,21 @@ class TestMinExpectation:
         n = 10**6
         draws = np.minimum(d1.sample_array(rng, n), d2.sample_array(rng, n))
         assert expected == pytest.approx(draws.mean(), abs=4 * draws.std() / math.sqrt(n))
+
+    @pytest.mark.parametrize(
+        "ds,expected",
+        [
+            ([Pareto(1.0, 2.5), FiniteSupport(((1.0, 0.5), (3.0, 0.5)))], 1.2691833034233748),
+            (
+                [Pareto(0.5, 2.2), Pareto(1.0, 3.0), FiniteSupport(((0.5, 0.25), (1.0, 0.25), (2.5, 0.5)))],
+                0.7018335043631346,
+            ),
+            ([Pareto(0.5, 2.2), Shifted(0.5, FiniteSupport(EXAMPLE_PAIR_ATOMS))], 0.8158404139392684),
+        ],
+    )
+    def test_pareto_beside_atoms_pins(self, ds, expected):
+        # quadrature up to the end of the shortest atomic support, to the bit
+        assert min_expectation(ds) == expected
 
     def test_heavy_tail_divergence(self):
         with pytest.raises(InfiniteMeanError):
@@ -555,6 +577,14 @@ class TestLatticeStep:
         assert _lattice_step((FiniteSupport(((1e-300, 1.0),)),)) is None
         assert _lattice_step((Deterministic(1e-17), Deterministic(1.0))) is None
         assert _lattice_step(example_servers(), 1e-17) is None
+
+    def test_value_past_two_to_the_53_units(self):
+        # a tick count past 2**53 is no exact float: sums of ticks would round
+        assert _lattice_step((Deterministic(2**53 / 10**6),)) == Fraction(2**53, 10**6)
+        assert _lattice_step((Deterministic(2**54 / 10**6),)) is None
+        huge = FiniteSupport(((1.0, 0.8), (1e300, 0.2)))
+        assert _lattice_step((Deterministic(2.0), huge)) is None
+        assert _lattice_step(example_servers(), 1e300) is None
 
     def test_non_atomic(self):
         assert _lattice_step((Exponential(1.0), Deterministic(1.0))) is None
